@@ -127,24 +127,20 @@ int main(int argc, char** argv) {
     t.metrics.emplace_back("cold_start_time_s", run.cold_start_time());
     t.metrics.emplace_back("shards", static_cast<double>(sim.shards()));
     if (sim.shards() > 1) {
-      // Per-shard breakdown: events are deterministic (gateable); wall
-      // seconds are machine noise, so they ride in a provenance note.
-      std::string walls;
+      // Per-shard breakdown: event counts are deterministic (gateable).
+      // Per-shard wall time is left out: it is measured only when worker
+      // lanes execute shard sub-batches, and this arm runs them serially.
       std::uint64_t channel_total = 0;
       for (std::size_t s = 0; s < sim.shards(); ++s) {
         const sim::Simulator::ShardStats& st = sim.shard_stats()[s];
         t.metrics.emplace_back("shard" + std::to_string(s) + "_events",
                                static_cast<double>(st.events));
-        if (!walls.empty()) walls += ", ";
-        walls += "s" + std::to_string(s) + "=" +
-                 util::fmt_double(st.wall_s, 2) + "s";
         for (std::size_t d = 0; d < sim.shards(); ++d) {
           channel_total += sim.channel_messages(s, d);
         }
       }
       t.metrics.emplace_back("cross_shard_messages",
                              static_cast<double>(channel_total));
-      io.report.add_note(name + " per-shard exec wall: " + walls);
     }
     if (counters_out != nullptr) {
       *counters_out = ColdCounters{t.events, t.messages, t.bytes,

@@ -79,6 +79,10 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
   if (delta.reset) {
     changed = g.num_links() > 0 || !g.destinations().empty();
     g.reset(g.root());
+    // A reset delta carries the whole view (first-contact snapshots and
+    // session re-baselines), so its size is the graph's size: presize once
+    // instead of rehashing while the tables grow.
+    g.reserve(delta.upserts.size());
   }
   for (const DirectedLink& link : delta.removes) {
     changed |= g.remove_link(link.from, link.to);

@@ -77,12 +77,6 @@ bool CentaurNode::neighbor_usable(NodeId neighbor) const {
 
 void CentaurNode::start() {
   local_.reset(self());
-  // Below the dense limit, presize for the steady-state footprint (rehash-
-  // free assembly).  At 100k+ nodes every per-node table must instead stay
-  // proportional to content — O(n) reservations per node are quadratic in
-  // aggregate memory (see util/node_map.hpp).
-  const std::size_t n = graph_.num_nodes();
-  local_.reserve(n, n < util::kNodeMapDenseLimit ? 2 * n : 0);
   for (const topo::Neighbor& nb : graph_.neighbors(self())) {
     session_up_[nb.node] = graph_.link_up(nb.link);
   }
@@ -584,17 +578,9 @@ void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
 
   bool inserted = false;
   NeighborState& state = rib_.ensure(from, inserted);
-  if (inserted) {
-    state.graph.reset(from);
-    // Pre-size for the steady-state footprint (one entry per reachable
-    // node/destination) so cold-start assembly avoids rehash cascades —
-    // but only below the dense limit; at 100k+ nodes per-neighbor state
-    // must stay content-sized (see util/node_map.hpp).
-    const std::size_t n = graph_.num_nodes();
-    state.graph.reserve(n, n < util::kNodeMapDenseLimit ? 2 * n : 0);
-    if (n < util::kNodeMapDenseLimit) state.dests.reserve(n);
-    state.chain_index.reserve_ids(n);
-  }
+  // Per-neighbor state grows with its content; apply_delta presizes the
+  // graph from the first-contact snapshot (a reset delta) below.
+  if (inserted) state.graph.reset(from);
   // A reset on a *live* session (re-baseline after an export-category
   // change, e.g. a route leak starting or stopping) keeps the derived
   // cache: the dirty union below re-walks every previously derived

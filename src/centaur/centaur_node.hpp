@@ -253,17 +253,18 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// destination and an index from chain nodes to the destinations whose
   /// derived walk visits them (a delta touching node X can only change
   /// derivations walking through X).
-  /// Both caches are direct-indexed by dense node id (the seed used
-  /// node-based std::map); chain-index destination sets are sorted
-  /// small-vectors.
+  /// Both caches grow with content (the seed used node-based std::map):
+  /// `dests` is direct-indexed by destination id — destinations are the
+  /// originated set — and `chain_index` is a content-sized NodeMap whose
+  /// destination sets are sorted small-vectors.
   struct NeighborState {
     NeighborState() = default;
     explicit NeighborState(topo::NodeId root) : graph(root) {}
     PGraph graph;     // G_{B->self}
     DestCache dests;  // dest -> derived path + walk chain + summary
-    /// node -> dests whose walk visits it (sorted ascending).  NodeMap:
-    /// direct-indexed below util::kNodeMapDenseLimit, content-sized above
-    /// it; absent/empty slot = no walks.
+    /// node -> dests whose walk visits it (sorted ascending).  Content-
+    /// sized NodeMap (one slot per walked node); absent/empty value = no
+    /// walks.
     util::NodeMap<util::SmallVec<NodeId, 4>> chain_index;
   };
 

@@ -20,8 +20,8 @@ namespace pgraph_detail {
 void PGraph::reset(NodeId root) {
   root_ = root;
   links_.clear();
-  // Keep the dense slots (and their SmallVec spill capacity): resets happen
-  // on session restarts, where the graph re-grows to the same node range.
+  // The adjacency tables keep their capacity: resets happen on session
+  // restarts, where the graph re-grows to a similar size.
   parents_.clear_values();
   children_.clear_values();
   destinations_.clear();

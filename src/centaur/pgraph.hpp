@@ -87,13 +87,13 @@ class PGraph {
   /// Adjacency list: sorted ascending, inline up to 4 entries (the common
   /// case — most P-graph nodes have a single parent).
   using AdjList = util::SmallVec<NodeId, 4>;
-  /// Adjacency storage: dual-mode NodeMap.  Below util::kNodeMapDenseLimit
-  /// it is the direct-indexed array the hot paths want (DerivePath does one
-  /// parents() lookup per hop; an array index beats a hash probe on that
-  /// path by ~3x).  At 100k+ ids it switches to a content-sized map — each
-  /// node keeps one P-graph per neighbor, and an O(max-id) array per graph
-  /// is what made such topologies infeasible.  An absent or empty slot
-  /// means "no neighbors".
+  /// Adjacency storage: content-sized NodeMap.  Each node keeps one P-graph
+  /// per neighbor, so the table must grow with the graph's links, not with
+  /// the largest AS id.  Its home slot is the id's low bits: when the
+  /// content covers its id range the table lays out like a direct-indexed
+  /// array, so DerivePath's one parents() lookup per hop stays a single
+  /// probe in ascending-id memory order.  An absent or empty value means
+  /// "no neighbors".
   using AdjVec = util::NodeMap<AdjList>;
 
   /// Flat link storage; iteration yields { DirectedLink-packed key, data }
@@ -141,13 +141,13 @@ class PGraph {
   NodeId root() const { return root_; }
   void reset(NodeId root);
 
-  /// Pre-sizes the link and adjacency tables for a graph of roughly
-  /// `links` links over `nodes` nodes, so assembly (cold start, session
-  /// resets) does not pay a rehash cascade while the tables grow.
-  void reserve(std::size_t nodes, std::size_t links) {
+  /// Pre-sizes the link and adjacency tables for `links` links, so
+  /// assembling a graph of known size (a reset delta) does not pay a rehash
+  /// cascade.  Each link adds at most one parents key and one children key.
+  void reserve(std::size_t links) {
     links_.reserve(links);
-    parents_.reserve_ids(nodes);
-    children_.reserve_ids(nodes);
+    parents_.reserve(links);
+    children_.reserve(links);
   }
 
   // --- structure ---------------------------------------------------------
@@ -274,8 +274,8 @@ class PGraph {
   LinkView links() const { return LinkView(links_); }
 
   /// Whole adjacency storage, keyed by NodeId, values sorted ascending;
-  /// absent/empty slots are nodes with no neighbors on that side (iterate
-  /// with AdjVec::for_each — ascending id order in both NodeMap modes).
+  /// absent/empty values are nodes with no neighbors on that side (iterate
+  /// with AdjVec::for_each — ascending id order whatever the layout).
   /// Exposed for the invariant checker (src/check), which cross-validates
   /// them against links(); protocol code should use parents()/children().
   const AdjVec& parent_map() const { return parents_; }

@@ -98,8 +98,8 @@ void check_adjacency_map(const PGraph::AdjVec& map, const PGraph& g,
                          bool map_is_parents, std::vector<Violation>& out) {
   const char* name = map_is_parents ? "parents" : "children";
   map.for_each([&](NodeId n, const PGraph::AdjList& adj) {
-    // Empty slots are legal in the dense representation: they are nodes with
-    // no neighbors on this side (possibly never touched at all).
+    // Empty values are legal: a removed link empties its endpoint's list in
+    // place, leaving a node with no neighbors on this side.
     if (adj.empty()) return;
     if (!std::is_sorted(adj.begin(), adj.end()) ||
         std::adjacent_find(adj.begin(), adj.end()) != adj.end()) {

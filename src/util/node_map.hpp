@@ -1,146 +1,140 @@
-// Dual-mode node-indexed map for per-node protocol state.
+// Content-sized node-indexed map for per-node protocol state.
 //
-// Protocol caches keyed by dense AS ids (P-graph adjacency, walk-chain
-// indexes) want a direct-indexed array: one cache line, no hash probe.  But
-// the array is sized by the *largest id touched*, and every node keeps such
-// caches per neighbor — at 100k+ ASes an O(max-id) array per (node,
-// neighbor) pair is hundreds of gigabytes while the actual content (nodes
-// on paths toward the originated destinations) stays tiny.
+// Every Centaur node keeps one P-graph per neighbor (adjacency, walk-chain
+// index), each holding only the nodes on paths toward the originated
+// destinations.  Storage indexed by global AS id made every (node,
+// neighbor) pair cost O(n) — quadratic in aggregate.  NodeMap is one
+// open-addressing table (linear probing, power-of-two capacity, 70 % max
+// load) whose size follows the content instead.
 //
-// NodeMap resolves the tension by switching representation on scale:
-//   * dense mode (default): std::vector<V> indexed by id, identical to the
-//     plain vector it replaces — every topology below kNodeMapDenseLimit
-//     stays on this path, so existing runs keep their exact allocation and
-//     lookup behavior;
-//   * sparse mode: a content-sized FlatMap<id, V>, entered lazily on the
-//     first ensure()/reserve_ids() that reaches kNodeMapDenseLimit.  Lookup
-//     pays a hash probe; memory is proportional to ids actually touched.
+// The home slot of `id` is its low bits with the bits above the capacity
+// folded in: `(id ^ (id >> log2(capacity))) & (capacity - 1)`.  Below the
+// capacity that is the identity, so a graph whose content covers its id
+// range lays out exactly like a direct-indexed array — ascending ids in
+// ascending slots, one probe per hit — while ids sharing their low bits
+// (e.g. multiples of 1024) still spread over the table.
 //
-// The mode switch never leaks into simulation results: per-id lookup is
-// order-free, and whole-map iteration (for_each) visits ids ascending in
-// both modes.  Callers must treat an empty value exactly like an absent
-// one — dense mode materializes default slots below the largest touched id,
-// sparse mode does not, and conversion drops empty slots.
-//
-// V must be default-constructible and container-like: `empty()` (absence
-// test, conversion filter) and `clear()` (clear_values) are required —
-// SmallVec / std::vector values in practice.
+// Entries are never erased one by one (callers empty a value in place and
+// must treat an empty value like an absent one), so there are no
+// tombstones.  `Key(-1)` (topo::kInvalidNode) marks empty slots: find()
+// never reports it and ensure() rejects it.  for_each visits ids ascending,
+// so the layout never leaks into results.  V must be default-constructible
+// and movable.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "util/flat_map.hpp"
-
 namespace centaur::util {
-
-/// Node-id bound below which NodeMap keeps (or pre-sizes) the dense array.
-/// Callers also use it as the "presize everything up front" threshold: below
-/// it, O(n) reservations are cheap and buy rehash-free assembly; at or above
-/// it, state must stay content-sized.
-inline constexpr std::size_t kNodeMapDenseLimit = std::size_t{1} << 16;
 
 template <typename V>
 class NodeMap {
  public:
   using Key = std::uint32_t;
+  static constexpr Key kEmptyKey = static_cast<Key>(-1);
 
-  NodeMap() = default;
+  /// Ids with a slot (values emptied in place included).
+  std::size_t size() const { return size_; }
 
-  bool sparse() const { return sparse_; }
-
-  /// Value for `id`, or nullptr when the slot was never materialized.  A
-  /// non-null result may still be an empty V (dense slots below the largest
-  /// touched id exist by construction) — treat empty as absent.
+  /// Value for `id`, or nullptr when it has no slot.  A non-null result may
+  /// be a value emptied in place — treat empty as absent.
   const V* find(Key id) const {
-    if (!sparse_) {
-      return std::size_t{id} < dense_.size() ? &dense_[id] : nullptr;
-    }
-    return map_.find(id);
+    if (size_ == 0) return nullptr;
+    const Slot& s = slots_[locate(id)];
+    return s.key != kEmptyKey ? &s.value : nullptr;
   }
   V* find(Key id) {
     return const_cast<V*>(std::as_const(*this).find(id));
   }
 
-  /// Value for `id`, default-constructed if absent.  Growing past
-  /// kNodeMapDenseLimit converts to sparse mode (empty slots are dropped).
+  /// Value for `id`, default-constructed if absent.  May rehash, which
+  /// invalidates pointers and references into the map.
   V& ensure(Key id) {
-    if (!sparse_) {
-      if (std::size_t{id} < kNodeMapDenseLimit) {
-        if (dense_.size() <= std::size_t{id}) {
-          dense_.resize(std::size_t{id} + 1);
-        }
-        return dense_[id];
-      }
-      convert_to_sparse();
+    if (id == kEmptyKey) {
+      throw std::invalid_argument("NodeMap::ensure: reserved id");
     }
-    bool inserted = false;
-    return map_.ensure(id, inserted);
+    if ((size_ + 1) * 10 > slots_.size() * 7) {
+      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
+    }
+    Slot& s = slots_[locate(id)];
+    if (s.key == kEmptyKey) {
+      s.key = id;
+      ++size_;
+    }
+    return s.value;
   }
 
-  /// Pre-sizes for ids [0, count).  Below the dense limit this materializes
-  /// the array (the classic reserve); at or above it the map switches to
-  /// sparse mode instead, keeping memory proportional to content.
-  void reserve_ids(std::size_t count) {
-    if (sparse_) return;
-    if (count <= kNodeMapDenseLimit) {
-      if (dense_.size() < count) dense_.resize(count);
-    } else {
-      convert_to_sparse();
-    }
+  /// Pre-sizes the table for `count` ids (no rehash cascade while a graph
+  /// of known size is assembled).
+  void reserve(std::size_t count) {
+    std::size_t cap = kMinCapacity;
+    while (count * 10 > cap * 7) cap *= 2;
+    if (cap > slots_.size()) rehash(cap);
   }
 
-  /// Empties every value in place (dense mode keeps slot capacity, matching
-  /// the plain-vector reset idiom this replaces).
+  /// Drops every entry but keeps the capacity: resets happen on session
+  /// restarts, where the graph refills to a similar size.
   void clear_values() {
-    if (!sparse_) {
-      for (V& v : dense_) v.clear();
-    } else {
-      map_.clear();
-    }
+    for (Slot& s : slots_) s = Slot{};
+    size_ = 0;
   }
 
-  /// Visits (id, value) pairs in ascending id order — identical observable
-  /// order in both modes, so checker/export sweeps stay deterministic.
-  /// Dense mode also visits empty slots; treat them as absent.
+  /// Visits (id, value) pairs in ascending id order, emptied values too.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (!sparse_) {
-      for (std::size_t id = 0; id < dense_.size(); ++id) {
-        fn(static_cast<Key>(id), dense_[id]);
-      }
-      return;
+    std::vector<const Slot*> live;
+    live.reserve(size_);
+    for (const Slot& s : slots_) {
+      if (s.key != kEmptyKey) live.push_back(&s);
     }
-    std::vector<Key> keys;
-    keys.reserve(map_.size());
-    for (const auto& [k, v] : map_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    for (const Key k : keys) fn(k, *map_.find(k));
+    std::sort(live.begin(), live.end(),
+              [](const Slot* a, const Slot* b) { return a->key < b->key; });
+    for (const Slot* s : live) fn(s->key, s->value);
+  }
+
+  /// Slots a find() of `id` examines (1: found or rejected at its home
+  /// slot); layout introspection for tests.
+  std::size_t probe_length(Key id) const {
+    return size_ == 0 ? 0 : ((locate(id) - home(id)) & mask_) + 1;
   }
 
  private:
-  void convert_to_sparse() {
-    std::size_t live = 0;
-    for (const V& v : dense_) {
-      if (!v.empty()) ++live;
+  struct Slot {
+    Key key = kEmptyKey;
+    V value{};
+  };
+
+  static constexpr std::size_t kMinCapacity = 16;
+
+  std::size_t home(Key id) const { return (id ^ (id >> shift_)) & mask_; }
+
+  /// Slot holding `id`, or the empty slot that ends its probe chain.
+  std::size_t locate(Key id) const {
+    std::size_t i = home(id);
+    while (slots_[i].key != id && slots_[i].key != kEmptyKey) {
+      i = (i + 1) & mask_;
     }
-    map_.reserve(live);
-    for (std::size_t id = 0; id < dense_.size(); ++id) {
-      if (dense_[id].empty()) continue;
-      bool inserted = false;
-      map_.ensure(static_cast<Key>(id), inserted) = std::move(dense_[id]);
-    }
-    dense_.clear();
-    dense_.shrink_to_fit();
-    sparse_ = true;
+    return i;
   }
 
-  bool sparse_ = false;
-  std::vector<V> dense_;        // dense mode storage, indexed by id
-  FlatMap<Key, V> map_;         // sparse mode storage, content-sized
+  void rehash(std::size_t cap) {
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(cap));
+    mask_ = cap - 1;
+    shift_ = static_cast<unsigned>(std::countr_zero(cap));
+    for (Slot& s : old) {
+      if (s.key != kEmptyKey) slots_[locate(s.key)] = std::move(s);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;  // log2(capacity)
+  std::size_t size_ = 0;
 };
 
 }  // namespace centaur::util

@@ -3,13 +3,16 @@
 
 Prints a per-trial table of baseline vs current values with % deltas for
 the counter fields (events, messages, bytes) and every named metric, plus
-the totals row.  Wall time and peak RSS are reported but never gated: they
-depend on the machine, while counters and metrics are deterministic for a
-fixed scale/seed.
+the totals row.  Wall time is reported but never gated: it depends on the
+machine, while counters and metrics are deterministic for a fixed
+scale/seed.  Peak RSS is gated only on request: --rss-tolerance PCT fails
+when the current process's peak_rss_kb exceeds the baseline's by more than
+PCT percent (a drop always passes).
 
 Exit status:
-    0  within tolerance (or --tolerance not given)
-    1  at least one gated value regressed past --tolerance percent
+    0  within tolerance (or neither --tolerance nor --rss-tolerance given)
+    1  at least one gated value regressed past --tolerance percent, or
+       peak RSS grew past --rss-tolerance percent
     2  usage / unreadable input / schema mismatch
 
 Machine-dependent metrics (e.g. the micro bench's `iterations`, which
@@ -20,6 +23,11 @@ Typical use — hard gate for deterministic baselines:
 
     python3 tools/bench_compare.py baselines/BENCH_micro.json \
         bench-out/BENCH_micro.json --tolerance 0 --ignore-metric iterations
+
+a memory gate (counters not gated) for a bench whose footprint matters:
+
+    python3 tools/bench_compare.py baselines/BENCH_fig8_large_smoke.json \
+        bench-large-out/BENCH_fig8_large.json --rss-tolerance 25
 
 and warn-only while a baseline settles:
 
@@ -89,6 +97,9 @@ def main():
                     metavar="KEY", dest="ignore_metrics",
                     help="metric name to report but never gate (repeatable); "
                          "for machine-dependent metrics like 'iterations'")
+    ap.add_argument("--rss-tolerance", type=float, default=None, metavar="PCT",
+                    help="exit nonzero if the current peak_rss_kb exceeds "
+                         "the baseline's by more than PCT percent")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -127,7 +138,7 @@ def main():
     cur_trials = {t["name"]: t for t in cur.get("trials", [])}
 
     rows = []          # (where, key, base, cur, delta) — gated comparisons
-    informational = []  # same shape, never gated (wall time, rss)
+    informational = []  # same shape, not --tolerance gated (wall time, rss)
     missing = sorted(set(base_trials) - set(cur_trials))
     added = sorted(set(cur_trials) - set(base_trials))
 
@@ -172,8 +183,22 @@ def main():
     for name in added:
         print(f"new in current: trial {name!r}")
 
+    rss_grew = False
+    if args.rss_tolerance is not None:
+        base_rss = base.get("peak_rss_kb", 0)
+        cur_rss = cur.get("peak_rss_kb", 0)
+        if base_rss <= 0 or cur_rss <= 0:
+            sys.exit("refusing to gate peak RSS: peak_rss_kb missing "
+                     f"({base_rss} vs {cur_rss})")
+        rss_delta = pct_delta(base_rss, cur_rss)
+        rss_grew = rss_delta > args.rss_tolerance
+        verdict = "FAIL" if rss_grew else "OK"
+        print(f"\n{verdict}: peak_rss_kb {base_rss} -> {cur_rss} "
+              f"({fmt_delta(rss_delta).strip()}, limit +{args.rss_tolerance}%)",
+              file=sys.stderr if rss_grew else sys.stdout)
+
     if args.tolerance is None:
-        return 0
+        return 1 if rss_grew else 0
     bad = [(w, k, d) for w, k, _, _, d in rows
            if d == float("inf") or (d is not None and abs(d) > args.tolerance)]
     if missing:
@@ -186,7 +211,7 @@ def main():
             print(f"  {where}.{key}: {shown}", file=sys.stderr)
         return 1
     print(f"\nOK: all gated values within ±{args.tolerance}%")
-    return 0
+    return 1 if rss_grew else 0
 
 
 if __name__ == "__main__":

@@ -137,11 +137,18 @@ constexpr struct EnvVar {
       "gated deterministic counters as BENCH_query.json.\n"
       "\n"
       "environment (run subcommands):\n";
+  // Values start two columns past the longest name; descriptions two
+  // columns further in.
+  std::size_t name_width = 0;
   for (const EnvVar& e : kEnvVars) {
-    std::cerr << "  " << e.var;
-    for (std::size_t i = std::strlen(e.var); i < 22; ++i) std::cerr << ' ';
-    std::cerr << e.values << "\n";
-    std::cerr << "                          " << e.what << "\n";
+    name_width = std::max(name_width, std::strlen(e.var));
+  }
+  const std::string what_indent(name_width + 6, ' ');
+  for (const EnvVar& e : kEnvVars) {
+    std::cerr << "  " << e.var
+              << std::string(name_width + 2 - std::strlen(e.var), ' ')
+              << e.values << "\n"
+              << what_indent << e.what << "\n";
   }
   std::exit(error.empty() ? 0 : 2);
 }
