@@ -74,7 +74,8 @@ GraphDelta diff_views(const ExportedView& before, const ExportedView& after) {
 }
 
 bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
-                 const LinkFilter& import_allowed) {
+                 const LinkFilter& import_allowed, DeltaReport* report) {
+  if (report != nullptr) report->clear();
   bool changed = false;
   if (delta.reset) {
     changed = g.num_links() > 0 || !g.destinations().empty();
@@ -83,9 +84,12 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
     // session re-baselines), so its size is the graph's size: presize once
     // instead of rehashing while the tables grow.
     g.reserve(delta.upserts.size());
+    report = nullptr;  // rebuilt from scratch: every head changed
   }
   for (const DirectedLink& link : delta.removes) {
-    changed |= g.remove_link(link.from, link.to);
+    if (!g.remove_link(link.from, link.to)) continue;
+    changed = true;
+    if (report != nullptr) report->note_removed(link.to);
   }
   for (NodeId d : delta.dest_removes) {
     changed |= g.unmark_destination(d);
@@ -95,10 +99,12 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
     if (import_allowed && !import_allowed(link.from, link.to)) continue;
     bool added = false;
     LinkData& data = g.ensure_link(link.from, link.to, added);
-    if (added || !(data.plist == plist)) {
-      data.plist = plist;
-      changed = true;
+    if (!added && data.plist == plist) continue;
+    if (report != nullptr) {
+      report->note_upsert(link.to, data.plist, plist, added);
     }
+    data.plist = plist;
+    changed = true;
   }
   for (NodeId d : delta.dest_adds) {
     if (!g.is_destination(d)) {
@@ -106,7 +112,46 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
       changed = true;
     }
   }
+  if (report != nullptr) report->resolve(g);
   return changed;
+}
+
+void DeltaReport::note_upsert(NodeId head, const PermissionList& before,
+                              const PermissionList& after, bool added) {
+  // An unlisted in-link is DerivePath's default at a multi-homed head, so
+  // adding one, or flipping an in-link between listed and unlisted, can
+  // redirect any walk through `head`.  (An added link's `before` is the
+  // fresh, empty payload.)
+  if (after.empty() || (!added && before.empty())) {
+    coarse.push_back(head);
+    return;
+  }
+  fine_heads_.emplace_back(head, added ? 1 : 0);
+  before.for_each_changed_dest(
+      after, [&](NodeId dest) { named.emplace_back(head, dest); });
+}
+
+void DeltaReport::resolve(const PGraph& g) {
+  std::sort(fine_heads_.begin(), fine_heads_.end());
+  for (std::size_t i = 0; i < fine_heads_.size();) {
+    const NodeId head = fine_heads_[i].first;
+    std::size_t added = 0;
+    for (; i < fine_heads_.size() && fine_heads_[i].first == head; ++i) {
+      added += fine_heads_[i].second;
+    }
+    // A head without removals had its current parents minus the added ones
+    // before the delta.  A single-homed head ignores Permission Lists, so
+    // being single-homed on either side makes the change coarse.
+    if (g.in_degree(head) < added + 2) coarse.push_back(head);
+  }
+  std::sort(coarse.begin(), coarse.end());
+  coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
+  // A coarse head invalidates every walk through it; its names are moot.
+  std::erase_if(named, [this](const std::pair<NodeId, NodeId>& hd) {
+    return std::binary_search(coarse.begin(), coarse.end(), hd.first);
+  });
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
 }
 
 // ------------------------------------------ incremental view maintenance --

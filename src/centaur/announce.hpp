@@ -12,7 +12,9 @@
 //     the view when no selected exported path contains it any longer);
 //   * apply_delta — the import side (Imp): drops links pointing at the
 //     importer, applies the import filter, and merges into the stored
-//     per-neighbor P-graph (the G'_{B->A} equation of S4.3.2);
+//     per-neighbor P-graph (the G'_{B->A} equation of S4.3.2), reporting
+//     per link head which derivation walks the change can redirect
+//     (DeltaReport);
 //   * PendingDelta — the outbound coalescing slot: merges every change
 //     recorded within one simulated instant into one net delta, with
 //     counter-style cancellation (an added link that is removed again in
@@ -96,12 +98,59 @@ ExportedView make_export_view(const PGraph& local,
 /// order.
 GraphDelta diff_views(const ExportedView& before, const ExportedView& after);
 
+class DeltaReport;
+
 /// Import side: merges `delta` (received from the owner of `g`) into the
 /// stored per-neighbor P-graph.  Links pointing at `self` are removed for
 /// loop elimination (Step 2), then `import_allowed` (if set) filters the
-/// rest.  Returns true if anything changed.
+/// rest.  Returns true if anything changed.  When `report` is set it is
+/// refilled with the per-head changes — except for a reset delta, which
+/// rebuilds the graph (every walk may change) and leaves it empty.
 bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
-                 const LinkFilter& import_allowed = nullptr);
+                 const LinkFilter& import_allowed = nullptr,
+                 DeltaReport* report = nullptr);
+
+/// What apply_delta changed at each link head (the node whose in-links a
+/// change touched), for walk invalidation (DESIGN.md §12.1).
+///
+/// At a multi-homed head DerivePath takes the lowest parent whose list
+/// permits (dest, came-from), else the unique unlisted parent.  So a head
+/// is *fine* when it has at least two parents before and after the delta,
+/// lost no in-link, gained no unlisted one, and no in-link flipped between
+/// listed and unlisted: a walk through it can then change there only if a
+/// changed pair names the walk's destination.  Every other changed head is
+/// *coarse*: any walk through it may change.  Upserts apply_delta skipped
+/// (self-targeted, import-filtered, list unchanged) and removes of absent
+/// links change nothing and are not reported.
+class DeltaReport {
+ public:
+  std::vector<NodeId> coarse;  ///< ascending, unique
+  /// (fine head, named destination), ascending, unique: the destinations
+  /// of every pair in the symmetric difference between an in-link's old
+  /// and new list (all pairs of an added link).
+  std::vector<std::pair<NodeId, NodeId>> named;
+
+ private:
+  friend bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
+                          const LinkFilter& import_allowed,
+                          DeltaReport* report);
+
+  void clear() {
+    coarse.clear();
+    named.clear();
+    fine_heads_.clear();
+  }
+  void note_removed(NodeId head) { coarse.push_back(head); }
+  void note_upsert(NodeId head, const PermissionList& before,
+                   const PermissionList& after, bool added);
+  /// Classifies every head once `g` holds the delta's final in-degrees,
+  /// and canonicalizes both lists.
+  void resolve(const PGraph& g);
+
+  /// (head, 1 if the upsert added a listed link) per upsert that leaves
+  /// its head a fine candidate.
+  std::vector<std::pair<NodeId, std::uint8_t>> fine_heads_;
+};
 
 class PendingDelta;
 

@@ -596,16 +596,22 @@ void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
       return config_.import_link_filter(from, a, b);
     };
   }
-  const bool changed = apply_delta(state.graph, delta, self(), import_filter);
+  // The scratch reference plane re-walks everything, so it skips the
+  // per-head report.
+  DeltaReport* const report = config_.incremental ? &report_scratch_ : nullptr;
+  const bool changed =
+      apply_delta(state.graph, delta, self(), import_filter, report);
   if (!changed && !inserted) return;
 
-  // Dirty destinations: a delta touching node X only affects derivations
-  // whose backtracking chain visits X (failed walks are indexed too, so
-  // formerly-underivable destinations are invalidated just as precisely),
-  // plus destination-mark changes.
+  // Dirty destinations: a walk can only change at a changed link head it
+  // visits (failed walks are indexed too, so formerly-underivable
+  // destinations are invalidated just as precisely).  At a coarse head that
+  // is every walk through it; at a fine head only the walks of the
+  // destinations its changed Permission-List pairs name (DESIGN.md §12.1).
+  // Destination-mark changes are always dirty.
   std::vector<NodeId>& dirty = dirty_scratch_;
   dirty.clear();
-  if (delta.reset || !config_.incremental) {
+  if (delta.reset || report == nullptr) {
     // Session restart — or the scratch reference plane, which re-walks
     // every marked or previously derived destination on every delta
     // instead of consulting the chain index.
@@ -613,13 +619,17 @@ void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
                  state.graph.destinations().end());
     for (const auto& [dest, ds] : state.dests) dirty.push_back(dest);
   } else {
-    auto touch = [&](NodeId node) {
-      if (const auto* idx = state.chain_index.find(node)) {
+    for (const NodeId head : report->coarse) {
+      if (const auto* idx = state.chain_index.find(head)) {
         dirty.insert(dirty.end(), idx->begin(), idx->end());
       }
-    };
-    for (const auto& [link, plist] : delta.upserts) touch(link.to);
-    for (const DirectedLink& link : delta.removes) touch(link.to);
+    }
+    for (const auto& [head, dest] : report->named) {
+      const auto* idx = state.chain_index.find(head);
+      if (idx != nullptr && util::sorted_contains(*idx, dest)) {
+        dirty.push_back(dest);
+      }
+    }
     for (const NodeId d : delta.dest_adds) dirty.push_back(d);
     for (const NodeId d : delta.dest_removes) dirty.push_back(d);
   }

@@ -118,9 +118,10 @@ class CentaurNode : public sim::Node, public policy::RouteView {
     /// Use the incremental recompute plane (DESIGN.md §12): reselect()
     /// rank-merges the per-(neighbor, destination) candidate cache
     /// maintained by refresh_derived() and materializes only the winning
-    /// path; deltas invalidate destinations through the walk-chain index;
-    /// floods update the two category export views from the touched-link /
-    /// changed-destination scratch.  Off: the from-scratch reference —
+    /// path; deltas invalidate only the walks a changed link head can
+    /// redirect (walk-chain index + DeltaReport); floods update the two
+    /// category export views from the touched-link / changed-destination
+    /// scratch.  Off: the from-scratch reference —
     /// re-derive every destination per delta, re-classify every candidate
     /// per reselect, and rebuild + diff full export views per flood.  Both
     /// produce bit-identical selections, floods, and counters (the
@@ -251,8 +252,10 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// Per-neighbor RIB state: the assembled P-graph plus caches that make
   /// steady-phase processing incremental — one DestState per marked
   /// destination and an index from chain nodes to the destinations whose
-  /// derived walk visits them (a delta touching node X can only change
-  /// derivations walking through X).
+  /// derived walk visits them.  A delta changing the in-links of node X can
+  /// only change walks through X: all of them when X is a coarse head, only
+  /// those of the destinations the changed Permission-List pairs name when
+  /// X is a fine one (DeltaReport, DESIGN.md §12.1).
   /// Both caches grow with content (the seed used node-based std::map):
   /// `dests` is direct-indexed by destination id — destinations are the
   /// originated set — and `chain_index` is a content-sized NodeMap whose
@@ -378,8 +381,10 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   bool leak_all_ = false;
   util::FlatMap<NodeId, std::uint8_t> intercepted_;  // victim set
   // Reusable hot-path scratch (nodes process one message at a time): the
-  // per-message dirty set and the derivation walk/path buffers.  Keeping
-  // them as members removes three allocation/free pairs per delivery.
+  // per-message delta report and dirty set, and the derivation walk/path
+  // buffers.  Keeping them as members removes their allocation/free pairs
+  // per delivery.
+  DeltaReport report_scratch_;
   std::vector<NodeId> dirty_scratch_;
   std::vector<NodeId> visited_scratch_;
   Path path_scratch_;

@@ -101,6 +101,25 @@ class PermissionList {
     return false;
   }
 
+  /// Calls `fn(dest)` for every pair held by exactly one of `*this` and
+  /// `other` — the destinations whose Permit(dest, next) answer differs for
+  /// some next hop.  A destination is reported once per differing pair.
+  template <typename Fn>
+  void for_each_changed_dest(const PermissionList& other, Fn&& fn) const {
+    const std::uint64_t* a = pairs_.begin();
+    const std::uint64_t* b = other.pairs_.begin();
+    while (a != pairs_.end() || b != other.pairs_.end()) {
+      if (b == other.pairs_.end() || (a != pairs_.end() && *a < *b)) {
+        fn(pair_dest(*a++));
+      } else if (a == pairs_.end() || *b < *a) {
+        fn(pair_dest(*b++));
+      } else {
+        ++a;
+        ++b;
+      }
+    }
+  }
+
   /// Approximate wire size in bytes.  Uncompressed: 4 bytes per next hop +
   /// 4 per destination.  Bloom-compressed (paper S4.1): 4 bytes per next
   /// hop + one fixed-size filter per entry sized for its destination count

@@ -28,7 +28,10 @@
 //   * unreachable / ambiguous-fallback -> kUnreachable, `out` left empty.
 //   * a backtrace cycle throws std::logic_error (corrupt graph).
 //   * `visited` (optional) receives every node the walk examined; the
-//     outcome is a pure function of the in-links of these nodes.
+//     outcome is a pure function of the in-links of these nodes.  At a
+//     visited node with two or more parents it depends only on which
+//     in-links are unlisted and on the listed ones' pairs that name `dest`
+//     (the fine/coarse invalidation rule of DeltaReport, announce.hpp).
 #pragma once
 
 #include <algorithm>
@@ -47,8 +50,12 @@ namespace centaur::core {
 struct PathQuery {
   NodeId dest = topo::kInvalidNode;
   /// Optional walk capture: receives every node the backtracking walk
-  /// examined (including `dest` and, on failure, the blocking node).
-  /// Callers use the set for precise invalidation (DESIGN.md §12).
+  /// examined (including `dest` and, on failure, the blocking node).  A
+  /// graph change that touches none of their in-links cannot change the
+  /// walk.  A change at a node with two or more parents before and after
+  /// that removes no in-link, adds no unlisted one and flips none between
+  /// listed and unlisted can change it there only if a changed
+  /// Permission-List pair names `dest` (DESIGN.md §12.1).
   std::vector<NodeId>* visited = nullptr;
 };
 

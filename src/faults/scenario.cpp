@@ -395,33 +395,12 @@ ScenarioSpec adversarial_base(const char* name, std::size_t nodes,
   return spec;
 }
 
-/// Peer+provider session count at `v` — the sessions a route leak
-/// mis-exports across.
-std::size_t transit_degree(const topo::AsGraph& g, topo::NodeId v) {
-  std::size_t n = 0;
-  for (const topo::Neighbor& nb : g.neighbors(v)) {
-    if (nb.rel == topo::Relationship::kPeer ||
-        nb.rel == topo::Relationship::kProvider) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::size_t provider_count(const topo::AsGraph& g, topo::NodeId v) {
   std::size_t n = 0;
   for (const topo::Neighbor& nb : g.neighbors(v)) {
     if (nb.rel == topo::Relationship::kProvider) ++n;
   }
   return n;
-}
-
-topo::NodeId max_transit_node(const topo::AsGraph& g) {
-  topo::NodeId best = 0;
-  for (topo::NodeId v = 1; v < g.num_nodes(); ++v) {
-    if (transit_degree(g, v) > transit_degree(g, best)) best = v;
-  }
-  return best;
 }
 
 }  // namespace

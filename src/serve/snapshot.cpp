@@ -37,15 +37,12 @@ std::shared_ptr<const PGraphSnapshot> SnapshotBuilder::build_full(
   snap->version_ = next_version_++;
   snap->full_ = true;
   snap->depth_ = 1;
-  // Distinct link heads == the nodes with in-links.  LinkView iteration is
-  // hash order; VecMap::operator[] inserts sorted, so the snapshot content
-  // is order-independent (and compared as such by the equivalence tests).
-  for (const auto& [link, data] : local.links()) {
-    (void)data;
-    bool inserted = false;
-    SnapNode& sn = snap->nodes_.ensure(link.to, inserted);
-    if (inserted) sn = freeze_node(local, link.to);
-  }
+  // Link heads == the nodes with a non-empty parent list.  The parent map
+  // visits ids ascending, so every insert appends to the sorted VecMap.
+  snap->nodes_.reserve(local.parent_map().size());
+  local.parent_map().for_each([&](NodeId n, const PGraph::AdjList& ps) {
+    if (!ps.empty()) snap->nodes_[n] = freeze_node(local, n);
+  });
   snap->dests_ = local.destinations();
   ++full_builds_;
   full_nodes_ = snap->nodes_.size();

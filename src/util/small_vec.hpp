@@ -132,11 +132,17 @@ class SmallVec {
     cap_ = cap;
   }
 
+  /// Copies `other` into this empty vector: into the inline array when it
+  /// fits, else into a fresh heap block.
   void assign_from(const SmallVec& other) {
-    if (other.size_ > N) grow_to(other.size_);
-    std::memcpy(static_cast<void*>(data_()), other.data_(),
-                other.size_ * sizeof(T));
-    size_ = other.size_;
+    const std::size_t n = other.size_;
+    if (n <= N) {
+      copy_inline(other.data_(), n);
+    } else {
+      grow_to(n);
+      std::memcpy(static_cast<void*>(heap_), other.data_(), n * sizeof(T));
+    }
+    size_ = n;
   }
 
   void steal_from(SmallVec& other) noexcept {
@@ -146,11 +152,17 @@ class SmallVec {
       other.heap_ = nullptr;
       other.cap_ = N;
     } else {
-      std::memcpy(static_cast<void*>(inline_), other.inline_,
-                  other.size_ * sizeof(T));
+      copy_inline(other.inline_, other.size_);
     }
     size_ = other.size_;
     other.size_ = 0;
+  }
+
+  /// Copies `n` (<= N) elements into the inline array.  The loop is bounded
+  /// by N itself, so the compiler can see every write stays inside inline_
+  /// even where it cannot tell which storage mode a vector is in.
+  void copy_inline(const T* src, std::size_t n) {
+    for (std::size_t i = 0; i < n && i < N; ++i) inline_[i] = src[i];
   }
 
   void release() {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "centaur/announce.hpp"
 #include "centaur/build_graph.hpp"
+#include "centaur/query.hpp"
 #include "wire/wire_format.hpp"
 
 namespace centaur::core {
@@ -239,6 +245,343 @@ TEST(ApplyDelta, SameLinkUpsertedAndRemovedInOneDelta) {
   ASSERT_TRUE(g.has_link(A, B));
   EXPECT_TRUE(g.link_data(A, B).plist.permits(3, 4));
   EXPECT_FALSE(g.link_data(A, B).plist.permits(1, 2));
+}
+
+// ------------------------------------ delta report (DESIGN.md §12.1) ---
+
+/// A Permission List from (destination, next hop) pairs.
+PermissionList plist_of(
+    std::initializer_list<std::pair<NodeId, NodeId>> pairs) {
+  PermissionList pl;
+  for (const auto& [dest, next] : pairs) pl.add(dest, next);
+  return pl;
+}
+
+using Named = std::vector<std::pair<NodeId, NodeId>>;
+
+// Head 4 is multi-homed with two listed in-links; head 5 is single-homed.
+PGraph report_base() {
+  PGraph g(0);
+  bool added = false;
+  for (NodeId n = 1; n <= 3; ++n) g.ensure_link(0, n, added);
+  g.ensure_link(1, 4, added).plist = plist_of({{4, kNoNextHop}});
+  g.ensure_link(2, 4, added).plist = plist_of({{6, 6}});
+  g.ensure_link(1, 5, added);
+  g.ensure_link(4, 6, added);
+  for (NodeId d = 4; d <= 6; ++d) g.mark_destination(d);
+  return g;
+}
+
+TEST(DeltaReport, PlistChangesAtAMultiHomedHeadNameTheirDestinations) {
+  PGraph g = report_base();
+  DeltaReport r;
+  GraphDelta change;
+  change.upserts.emplace_back(DirectedLink{2, 4},
+                              plist_of({{6, 6}, {7, 6}, {8, 6}}));
+  ASSERT_TRUE(apply_delta(g, change, 9, nullptr, &r));
+  EXPECT_TRUE(r.coarse.empty());
+  EXPECT_EQ(r.named, (Named{{4, 7}, {4, 8}}));
+
+  // A listed link added at a head that was already multi-homed names all
+  // of its pairs; dropping a pair names it too.
+  GraphDelta add;
+  add.upserts.emplace_back(DirectedLink{3, 4}, plist_of({{5, 2}, {4, 1}}));
+  add.upserts.emplace_back(DirectedLink{2, 4}, plist_of({{6, 6}, {7, 6}}));
+  ASSERT_TRUE(apply_delta(g, add, 9, nullptr, &r));
+  EXPECT_TRUE(r.coarse.empty());
+  EXPECT_EQ(r.named, (Named{{4, 4}, {4, 5}, {4, 8}}));
+}
+
+TEST(DeltaReport, StructuralChangesAreCoarse) {
+  const auto report_for = [](const GraphDelta& delta) {
+    PGraph g = report_base();
+    DeltaReport r;
+    EXPECT_TRUE(apply_delta(g, delta, 9, nullptr, &r));
+    EXPECT_TRUE(r.named.empty());
+    return r.coarse;
+  };
+  GraphDelta unlisted_add;  // a second default parent
+  unlisted_add.upserts.emplace_back(DirectedLink{3, 4}, PermissionList{});
+  EXPECT_EQ(report_for(unlisted_add), std::vector<NodeId>{4});
+
+  GraphDelta flip;  // listed -> unlisted
+  flip.upserts.emplace_back(DirectedLink{1, 4}, PermissionList{});
+  EXPECT_EQ(report_for(flip), std::vector<NodeId>{4});
+
+  GraphDelta removal;
+  removal.removes.push_back(DirectedLink{2, 4});
+  EXPECT_EQ(report_for(removal), std::vector<NodeId>{4});
+
+  GraphDelta single_to_multi;  // head 5 starts consulting its lists
+  single_to_multi.upserts.emplace_back(DirectedLink{2, 5},
+                                       plist_of({{5, kNoNextHop}}));
+  EXPECT_EQ(report_for(single_to_multi), std::vector<NodeId>{5});
+
+  GraphDelta single_homed_change;  // 6 has one parent before and after
+  single_homed_change.upserts.emplace_back(DirectedLink{4, 6},
+                                           plist_of({{6, kNoNextHop}}));
+  EXPECT_EQ(report_for(single_homed_change), std::vector<NodeId>{6});
+
+  // A coarse event at a head drops the names a fine change there carried.
+  GraphDelta mixed;
+  mixed.removes.push_back(DirectedLink{1, 4});
+  mixed.upserts.emplace_back(DirectedLink{2, 4}, plist_of({{7, 6}}));
+  mixed.upserts.emplace_back(DirectedLink{3, 4}, plist_of({{8, 6}}));
+  EXPECT_EQ(report_for(mixed), std::vector<NodeId>{4});
+}
+
+TEST(DeltaReport, SkippedUpsertsAndResetsReportNothing) {
+  PGraph g = report_base();
+  DeltaReport r;
+  r.coarse.push_back(1);  // stale content must be cleared
+  GraphDelta noop;
+  noop.upserts.emplace_back(DirectedLink{1, 4}, plist_of({{4, kNoNextHop}}));
+  noop.upserts.emplace_back(DirectedLink{1, 9}, plist_of({{9, kNoNextHop}}));
+  noop.upserts.emplace_back(DirectedLink{3, 4}, PermissionList{});
+  noop.removes.push_back(DirectedLink{3, 5});  // absent
+  const LinkFilter no_3_to_4 = [](NodeId from, NodeId to) {
+    return !(from == 3 && to == 4);
+  };
+  EXPECT_FALSE(apply_delta(g, noop, /*self=*/9, no_3_to_4, &r));
+  EXPECT_TRUE(r.coarse.empty());
+  EXPECT_TRUE(r.named.empty());
+
+  GraphDelta reset;
+  reset.reset = true;
+  reset.upserts.emplace_back(DirectedLink{0, 1}, PermissionList{});
+  EXPECT_TRUE(apply_delta(g, reset, 9, nullptr, &r));
+  EXPECT_TRUE(r.coarse.empty());
+  EXPECT_TRUE(r.named.empty());
+}
+
+// Property: on random P-graphs and random deltas, every destination whose
+// DerivePath result or visited chain changes is covered by the report — a
+// coarse head on its old chain, a fine head on its old chain that names it,
+// or a destination-mark change.  This is the exactness claim the receiver's
+// dirty set rests on; the end-to-end equivalence tests cannot see a missed
+// walk that a later delta masks.
+struct Walk {
+  PathStatus status = PathStatus::kUnreachable;
+  Path path;
+  std::vector<NodeId> chain;
+  bool operator==(const Walk&) const = default;
+};
+
+Walk walk_of(const PGraph& g, NodeId dest) {
+  Walk w;
+  w.status = query_path_into(g, PathQuery{dest, &w.chain}, w.path);
+  return w;
+}
+
+TEST(DeltaReport, RandomDeltasNeverMissAChangedWalk) {
+  // Ids 0..kNodes-1 with root 0; links only run from a lower to a higher
+  // id, so walks never cycle.  kSelf is the importer (links into it are
+  // dropped); the import filter rejects every link leaving kFiltered.
+  constexpr NodeId kNodes = 10;
+  constexpr NodeId kSelf = kNodes;
+  constexpr NodeId kFiltered = 6;
+  const LinkFilter import_filter = [](NodeId from, NodeId) {
+    return from != kFiltered;
+  };
+  std::mt19937 rng(0xDE17A);
+  const auto pick = [&rng](NodeId lo, NodeId hi) {  // uniform in [lo, hi]
+    return std::uniform_int_distribution<NodeId>(lo, hi)(rng);
+  };
+  const auto chance = [&rng](double p) {
+    return std::bernoulli_distribution(p)(rng);
+  };
+  // A listed Permission List for an in-link of `head`: pairs for
+  // destinations at or below it, with next hops on the way down.
+  const auto random_plist = [&](NodeId head) {
+    PermissionList pl;
+    const NodeId pairs = pick(1, 3);
+    for (NodeId i = 0; i < pairs; ++i) {
+      const NodeId dest = pick(head, kNodes - 1);
+      pl.add(dest, dest == head ? kNoNextHop : pick(head + 1, dest));
+    }
+    return pl;
+  };
+  const auto random_link_plist = [&](NodeId head) {
+    return chance(0.3) ? PermissionList{} : random_plist(head);
+  };
+
+  std::size_t changed_walks = 0, fine_only_hits = 0, fine_skips = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    PGraph g(0);
+    for (NodeId head = 1; head < kNodes; ++head) {
+      const NodeId in_degree = std::min<NodeId>(pick(0, 3), head);
+      for (NodeId i = 0; i < in_degree; ++i) {
+        bool added = false;
+        LinkData& data = g.ensure_link(pick(0, head - 1), head, added);
+        if (added) data.plist = random_link_plist(head);
+      }
+    }
+    for (NodeId d = 1; d < kNodes; ++d) {
+      if (chance(0.7)) g.mark_destination(d);
+    }
+
+    for (int step = 0; step < 4; ++step) {
+      std::map<NodeId, Walk> before;
+      for (const NodeId d : g.destinations()) before[d] = walk_of(g, d);
+
+      // Existing links, sorted (the table iterates in hash order).
+      std::vector<std::pair<DirectedLink, PermissionList>> links;
+      for (const auto& [link, data] : g.links()) {
+        links.emplace_back(link, data.plist);
+      }
+      std::sort(links.begin(), links.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      const auto some_link = [&]() {
+        return links[pick(0, static_cast<NodeId>(links.size() - 1))];
+      };
+      const auto absent_link = [&]() {
+        const NodeId to = pick(1, kNodes - 1);
+        return DirectedLink{pick(0, to - 1), to};
+      };
+
+      GraphDelta delta;
+      std::set<DirectedLink> used;
+      const auto upsert = [&](const DirectedLink& link,
+                              const PermissionList& pl) {
+        if (used.insert(link).second) delta.upserts.emplace_back(link, pl);
+      };
+      const NodeId ops = pick(1, 6);
+      for (NodeId op = 0; op < ops; ++op) {
+        switch (pick(0, 11)) {
+          case 0:  // remove an existing link
+            if (!links.empty()) {
+              const DirectedLink link = some_link().first;
+              if (used.insert(link).second) delta.removes.push_back(link);
+            }
+            break;
+          case 1:  // remove a link that may be absent
+            delta.removes.push_back(absent_link());
+            break;
+          case 2: {  // add (or re-list) a link
+            const DirectedLink link = absent_link();
+            upsert(link, random_link_plist(link.to));
+            break;
+          }
+          case 3:  // change a listed list to another listed list
+            if (!links.empty()) {
+              auto [link, pl] = some_link();
+              if (pl.empty()) break;
+              if (chance(0.5) && pl.dest_count() > 1) {
+                const PermissionList::Entry first = pl.entries().front();
+                pl.remove(first.dests.front(), first.next_hop);
+              } else {
+                const NodeId dest = pick(link.to, kNodes - 1);
+                pl.add(dest, dest == link.to ? kNoNextHop
+                                             : pick(link.to + 1, dest));
+              }
+              upsert(link, pl);
+            }
+            break;
+          case 4:  // flip listed <-> unlisted
+            if (!links.empty()) {
+              const auto& [link, pl] = some_link();
+              upsert(link, pl.empty() ? random_plist(link.to)
+                                      : PermissionList{});
+            }
+            break;
+          case 5:  // no-op upsert
+            if (!links.empty()) {
+              const auto& [link, pl] = some_link();
+              upsert(link, pl);
+            }
+            break;
+          case 6:  // self-targeted
+            upsert(DirectedLink{pick(0, kNodes - 1), kSelf},
+                   plist_of({{kSelf, kNoNextHop}}));
+            break;
+          case 7: {  // import-filtered
+            const NodeId to = pick(kFiltered + 1, kNodes - 1);
+            upsert(DirectedLink{kFiltered, to}, random_link_plist(to));
+            break;
+          }
+          case 8: {  // single-homed head gains a listed in-link
+            for (NodeId head = 2; head < kNodes; ++head) {
+              if (g.in_degree(head) != 1) continue;
+              const NodeId from = pick(0, head - 1);
+              if (!g.has_link(from, head)) {
+                upsert(DirectedLink{from, head}, random_plist(head));
+                break;
+              }
+            }
+            break;
+          }
+          case 9:  // remove and re-add one link
+            if (!links.empty()) {
+              const auto& [link, pl] = some_link();
+              if (used.insert(link).second) {
+                delta.removes.push_back(link);
+                delta.upserts.emplace_back(link, random_link_plist(link.to));
+              }
+            }
+            break;
+          case 10:
+            delta.dest_adds.push_back(pick(1, kNodes - 1));
+            break;
+          default:
+            delta.dest_removes.push_back(pick(1, kNodes - 1));
+            break;
+        }
+      }
+
+      DeltaReport report;
+      apply_delta(g, delta, kSelf, import_filter, &report);
+      ASSERT_TRUE(std::is_sorted(report.coarse.begin(), report.coarse.end()));
+      ASSERT_TRUE(std::adjacent_find(report.coarse.begin(),
+                                     report.coarse.end()) ==
+                  report.coarse.end());
+      ASSERT_TRUE(std::is_sorted(report.named.begin(), report.named.end()));
+      const auto is_coarse = [&](NodeId head) {
+        return std::binary_search(report.coarse.begin(), report.coarse.end(),
+                                  head);
+      };
+      const auto is_fine = [&](NodeId head) {
+        return std::any_of(report.named.begin(), report.named.end(),
+                           [head](const auto& hd) { return hd.first == head; });
+      };
+      const auto names = [&](NodeId head, NodeId dest) {
+        return std::binary_search(report.named.begin(), report.named.end(),
+                                  std::make_pair(head, dest));
+      };
+      for (const auto& [head, dest] : report.named) {
+        ASSERT_FALSE(is_coarse(head)) << "head " << head;
+      }
+
+      std::set<NodeId> mark_changes(delta.dest_adds.begin(),
+                                    delta.dest_adds.end());
+      mark_changes.insert(delta.dest_removes.begin(),
+                          delta.dest_removes.end());
+      for (const auto& [dest, old] : before) {
+        if (mark_changes.count(dest) != 0) continue;  // always dirty
+        ASSERT_TRUE(g.is_destination(dest));
+        const Walk now = walk_of(g, dest);
+        bool coarse_hit = false, fine_hit = false, fine_seen = false;
+        for (const NodeId node : old.chain) {
+          coarse_hit |= is_coarse(node);
+          fine_hit |= names(node, dest);
+          fine_seen |= is_fine(node);
+        }
+        if (now == old) {
+          if (fine_seen && !coarse_hit && !fine_hit) ++fine_skips;
+          continue;
+        }
+        ++changed_walks;
+        if (fine_hit && !coarse_hit) ++fine_only_hits;
+        EXPECT_TRUE(coarse_hit || fine_hit)
+            << "trial " << trial << " step " << step << ": walk of " << dest
+            << " changed but no reported head covers it";
+      }
+    }
+  }
+  // The draw must exercise both sides of the rule: changes caught only by
+  // a fine head's names, and unchanged walks a fine head let through.
+  EXPECT_GT(changed_walks, 1000u);
+  EXPECT_GT(fine_only_hits, 30u);
+  EXPECT_GT(fine_skips, 100u);
 }
 
 TEST(GraphDelta, ByteSizeIsExactEncodedLength) {

@@ -8,13 +8,14 @@
 // counters, per-node selected paths, and the exported views as received
 // (each RIB P-graph is exactly the sender's export view after import
 // filtering).  These tests re-run the tier-1 smoke analogues of the figure
-// experiments (fig 6/7 link flips, fig 8 sweep sizes) and the builtin
-// reliability campaign with the toggle on vs off, serial and at 4 worker
-// lanes, and compare everything.
+// experiments (fig 6/7 link flips, fig 8 sweep sizes), the builtin
+// reliability campaign and the three adversarial packs with the toggle on
+// vs off, serial and at 4 worker lanes, and compare everything.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -212,6 +213,103 @@ TEST(IncrementalEquiv, ReliabilityCampaignBitIdenticalAcrossToggle) {
   EXPECT_EQ(incremental.analysis.violations_seen,
             scratch.analysis.violations_seen);
   EXPECT_TRUE(scratch.clean());
+}
+
+// ------------------------------------------------- adversarial packs ---
+
+/// Compares every Centaur node of two runs: selected paths, the local
+/// P-graph, each received P-graph, and each neighbor's derived-path cache.
+/// The scratch plane re-walks every destination on every delta, so a walk
+/// the incremental plane failed to invalidate shows up as a stale cache
+/// entry here even when selection happens to mask it.
+void expect_same_node_state(eval::ProtocolRun& incremental,
+                            eval::ProtocolRun& scratch,
+                            const std::string& context) {
+  for (topo::NodeId v = 0; v < incremental.graph().num_nodes(); ++v) {
+    const auto& a = dynamic_cast<const core::CentaurNode&>(
+        incremental.network().node(v));
+    const auto& b =
+        dynamic_cast<const core::CentaurNode&>(scratch.network().node(v));
+    const std::string ctx = context + " node " + std::to_string(v);
+    EXPECT_TRUE(a.selected_paths() == b.selected_paths()) << ctx;
+    EXPECT_TRUE(a.local_pgraph() == b.local_pgraph()) << ctx;
+    ASSERT_EQ(a.rib_neighbors(), b.rib_neighbors()) << ctx;
+    for (const topo::NodeId nbr : a.rib_neighbors()) {
+      EXPECT_TRUE(*a.neighbor_pgraph(nbr) == *b.neighbor_pgraph(nbr))
+          << ctx << " view from neighbor " << nbr;
+      const core::CentaurNode::DestCache& da = *a.neighbor_derived(nbr);
+      const core::CentaurNode::DestCache& db = *b.neighbor_derived(nbr);
+      EXPECT_EQ(da.size(), db.size()) << ctx << " neighbor " << nbr;
+      for (const auto& [dest, entry] : da) {
+        const core::CentaurNode::DestState* other = db.find(dest);
+        ASSERT_NE(other, nullptr) << ctx << " neighbor " << nbr;
+        EXPECT_EQ(entry.path, other->path)
+            << ctx << " neighbor " << nbr << " dest " << dest;
+        EXPECT_EQ(entry.fail_chain, other->fail_chain)
+            << ctx << " neighbor " << nbr << " dest " << dest;
+      }
+    }
+  }
+}
+
+/// Drives one pack with the plane on and off, phase by phase, comparing
+/// the phase reports and every node's state after each phase.
+void expect_pack_identical_across_toggle(faults::ScenarioSpec spec) {
+  spec.protocol = eval::Protocol::kCentaur;
+  spec.options.analysis = eval::AnalysisMode::kCollect;
+  const topo::AsGraph g = spec.topology.build();
+  // Nodes sample CENTAUR_INCREMENTAL when they are built, so each run is
+  // built and driven under its own setting.
+  const auto build = [&](const char* incremental) {
+    ScopedEnv scoped("CENTAUR_INCREMENTAL", incremental);
+    util::Rng rng(spec.seed);
+    return std::make_unique<eval::ProtocolRun>(g, spec.protocol, rng,
+                                               spec.options);
+  };
+  const std::unique_ptr<eval::ProtocolRun> incremental = build("1");
+  const std::unique_ptr<eval::ProtocolRun> scratch = build("0");
+  expect_same_node_state(*incremental, *scratch, "cold start");
+
+  faults::CampaignEngine incremental_engine(*incremental);
+  faults::CampaignEngine scratch_engine(*scratch);
+  for (const faults::FaultPhase& phase : spec.script.phases) {
+    faults::PhaseReport a, b;
+    {
+      ScopedEnv scoped("CENTAUR_INCREMENTAL", "1");
+      a = incremental_engine.run_phase(spec.script, phase);
+    }
+    {
+      ScopedEnv scoped("CENTAUR_INCREMENTAL", "0");
+      b = scratch_engine.run_phase(spec.script, phase);
+    }
+    EXPECT_EQ(a, b) << "phase " << phase.name;
+    expect_same_node_state(*incremental, *scratch, "phase " + phase.name);
+  }
+  const faults::CampaignResult a = incremental_engine.result();
+  const faults::CampaignResult b = scratch_engine.result();
+  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.analysis.checks_run, b.analysis.checks_run);
+  EXPECT_EQ(a.analysis.violations_seen, b.analysis.violations_seen);
+}
+
+// The adversarial packs reach shapes the link-flip campaigns do not.
+
+TEST(IncrementalEquiv, RouteLeakPackBitIdenticalAcrossToggle) {
+  // Session re-baselines: reset deltas on live sessions.
+  expect_pack_identical_across_toggle(faults::route_leak_scenario(40, 1));
+}
+
+TEST(IncrementalEquiv, InterceptionPackBitIdenticalAcrossToggle) {
+  // A fabricated route, flooded and then withdrawn.
+  expect_pack_identical_across_toggle(faults::interception_scenario(40, 1));
+}
+
+TEST(IncrementalEquiv, PolicyChurnPackBitIdenticalAcrossToggle) {
+  // Relationship rewires and ranking-override P-graphs, which mix listed
+  // and unlisted in-links.
+  expect_pack_identical_across_toggle(faults::policy_churn_scenario(40, 1));
 }
 
 }  // namespace

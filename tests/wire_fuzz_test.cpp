@@ -10,6 +10,7 @@
 // reproduces bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -124,8 +125,8 @@ TEST(WireFuzz, EveryTruncationRejectsOrRoundtrips) {
          {PlistEncoding::kExplicit, PlistEncoding::kBloom}) {
       const std::vector<std::uint8_t> full = encode(d, enc);
       for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        const std::vector<std::uint8_t> buf(full.begin(),
-                                            full.begin() + cut);
+        const std::vector<std::uint8_t> buf(
+            full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
         expect_reject_or_roundtrip(
             buf, "trial " + std::to_string(trial) + " cut " +
                      std::to_string(cut) + " of " + hex(full));
@@ -185,8 +186,9 @@ TEST(WireFuzz, SplicedAndGarbageInputNeverCrashes) {
         const auto& b = corpus[rng() % corpus.size()];
         const std::size_t cut_a = a.empty() ? 0 : rng() % a.size();
         const std::size_t cut_b = b.empty() ? 0 : rng() % b.size();
-        buf.assign(a.begin(), a.begin() + cut_a);
-        buf.insert(buf.end(), b.begin() + cut_b, b.end());
+        buf.assign(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(cut_a));
+        buf.insert(buf.end(), b.begin() + static_cast<std::ptrdiff_t>(cut_b),
+                   b.end());
         break;
       }
       default: {  // valid message with trailing garbage
