@@ -29,9 +29,7 @@ int main(int argc, char** argv) {
 
   std::cout << "nodes=" << config.nodes << " query_threads="
             << config.serve.query_threads << " (CENTAUR_SERVE_THREADS)"
-            << " k=" << config.serve.query_k << " (CENTAUR_QUERY_K)"
-            << " snapshots=" << eval::to_string(config.serve.snapshot_policy)
-            << " (CENTAUR_SNAPSHOT_POLICY)\n\n";
+            << " k=" << config.serve.query_k << " (CENTAUR_QUERY_K)\n\n";
 
   const serve::QueryBenchResult result = serve::run_query_bench(config);
 

@@ -366,8 +366,15 @@ void CentaurNode::flood() {
     // Serving-plane publish (DESIGN.md §14.2): hand the dirty sets to the
     // snapshot sink before any flood branch consumes or clears them.  Runs
     // in handler context — the sink writes only this node's single-writer
-    // snapshot cell, so lane-parallel floods stay race-free.
-    config_.snapshot_sink(self(), local_, changed_dests_, touched_links_);
+    // snapshot cell, so lane-parallel floods stay race-free.  This
+    // instance's first publish hands over no delta: the cell may still hold
+    // a crashed predecessor's snapshot, which the whole graph replaces.
+    if (published_) {
+      config_.snapshot_sink(self(), local_, changed_dests_, touched_links_);
+    } else {
+      published_ = true;
+      config_.snapshot_sink(self(), local_, {}, {});
+    }
   }
   if (config_.export_link_filter) {
     // Legacy per-neighbor path: a custom link filter breaks the two-view

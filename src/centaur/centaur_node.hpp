@@ -362,6 +362,7 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   // Flood scratch, filled by reselect(); duplicates fine, flood() dedups.
   std::vector<DirectedLink> touched_links_;
   std::vector<NodeId> changed_dests_;
+  bool published_ = false;  // this instance has called the snapshot sink
   // Outbound coalescing (Step 5 batching): per-category net deltas pending
   // since the last flush, plus whether a flush event is already queued for
   // the current instant.

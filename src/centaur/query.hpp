@@ -10,17 +10,23 @@
 //   * query_path      — allocating convenience form.
 //   * path_uses       — the shared usability predicate (Observation 1).
 //   * query_k_paths / disjoint_path_count — multi-path enumeration for the
-//     serving plane (k policy-compliant paths, path-diversity metric).
+//     serving plane (k policy-compliant paths, path-diversity metric);
+//     query_all_paths + disjoint_count give both from one enumeration.
 //
 // Everything is templated over a *graph view* so the same walk serves both
 // a live PGraph and an immutable serve-plane PGraphSnapshot:
 //
 //   View requirements:
 //     NodeId root() const;
-//     const PGraph::AdjList& parents(NodeId n) const;  // ascending; empty
-//                                                      // when n is unknown
+//     parents(NodeId n) const;  // a contiguous range of NodeId (the live
+//                               // graph's AdjList, a snapshot's
+//                               // std::span<const NodeId>): ascending,
+//                               // empty when n is unknown
 //     const PermissionList* plist(NodeId from, NodeId to) const;
-//                                      // nullptr == no entries recorded
+//                               // nullptr == no entries recorded; the
+//                               // walks read it only where `to` has two
+//                               // or more parents, so a view may define
+//                               // it only at such multi-homed heads
 //
 // Contract (uniform across every entry point — the old pair of functions
 // is now a thin wrapper over this walk):
@@ -127,7 +133,7 @@ PathStatus query_path_over(const View& g, const PathQuery& q, Path& out) {
   };
 
   while (current != root) {
-    const PGraph::AdjList& ps = g.parents(current);
+    const auto& ps = g.parents(current);
     if (ps.empty()) return fail();
     NodeId parent = topo::kInvalidNode;
     if (ps.size() == 1) {
@@ -235,7 +241,7 @@ void enumerate_paths(const View& g, NodeId dest, std::size_t max_expansions,
   const auto candidates_for = [&](NodeId current,
                                   NodeId came_from) -> Level {
     Level level;
-    const PGraph::AdjList& ps = g.parents(current);
+    const auto& ps = g.parents(current);
     if (ps.empty()) return level;
     if (ps.size() == 1) {
       level.candidates.push_back(ps.front());
@@ -294,15 +300,14 @@ void enumerate_paths(const View& g, NodeId dest, std::size_t max_expansions,
 
 }  // namespace query_detail
 
-/// Enumerates up to `k` policy-compliant paths root..dest.  paths[0] is the
-/// canonical DerivePath result; alternates follow sorted by (length,
-/// lexicographic).  `max_expansions` bounds the branch walk so adversarial
-/// graphs cannot go exponential; hitting it sets `truncated`.
+/// Every policy-compliant path root..dest the `max_expansions` budget
+/// reaches, in KPathResult order: the canonical DerivePath result first,
+/// alternates sorted by (length, lexicographic).  Hitting the budget (which
+/// keeps adversarial graphs from going exponential) sets `truncated`.
 template <typename View>
-KPathResult query_k_paths(const View& g, NodeId dest, std::size_t k,
-                          std::size_t max_expansions = 4096) {
+KPathResult query_all_paths(const View& g, NodeId dest,
+                            std::size_t max_expansions = 4096) {
   KPathResult result;
-  if (k == 0) return result;
   query_detail::enumerate_paths(
       g, dest, max_expansions, result.truncated,
       [&](Path&& p) { result.paths.push_back(std::move(p)); });
@@ -318,23 +323,28 @@ KPathResult query_k_paths(const View& g, NodeId dest, std::size_t k,
   result.paths.erase(
       std::unique(result.paths.begin() + 1, result.paths.end()),
       result.paths.end());
+  return result;
+}
+
+/// The first `k` paths of query_all_paths: paths[0] is the canonical
+/// DerivePath result, alternates follow sorted by (length, lexicographic).
+template <typename View>
+KPathResult query_k_paths(const View& g, NodeId dest, std::size_t k,
+                          std::size_t max_expansions = 4096) {
+  if (k == 0) return KPathResult{};
+  KPathResult result = query_all_paths(g, dest, max_expansions);
   if (result.paths.size() > k) result.paths.resize(k);
   return result;
 }
 
-/// Path-diversity metric: a greedy lower bound on the number of mutually
-/// interior-node-disjoint policy-compliant paths root..dest (endpoints may
-/// be shared).  Paths are considered canonical-first then (length, lex), so
-/// the count is deterministic.  Returns 0 when dest is unreachable, 1 for
-/// dest == root.
-template <typename View>
-std::size_t disjoint_path_count(const View& g, NodeId dest,
-                                std::size_t max_expansions = 4096) {
-  const KPathResult all =
-      query_k_paths(g, dest, static_cast<std::size_t>(-1), max_expansions);
+/// Path-diversity metric over paths in KPathResult order: a greedy lower
+/// bound on the number of mutually interior-node-disjoint paths (endpoints
+/// may be shared), taking each path that shares no interior node with one
+/// already taken.  Deterministic because the order is.
+inline std::size_t disjoint_count(const std::vector<Path>& paths) {
   std::size_t count = 0;
   std::vector<NodeId> used;  // interior nodes of accepted paths
-  for (const Path& p : all.paths) {
+  for (const Path& p : paths) {
     bool clash = false;
     for (std::size_t i = 1; i + 1 < p.size(); ++i) {
       if (std::find(used.begin(), used.end(), p[i]) != used.end()) {
@@ -349,6 +359,14 @@ std::size_t disjoint_path_count(const View& g, NodeId dest,
   return count;
 }
 
+/// disjoint_count over every policy-compliant path root..dest.  Returns 0
+/// when dest is unreachable, 1 for dest == root.
+template <typename View>
+std::size_t disjoint_path_count(const View& g, NodeId dest,
+                                std::size_t max_expansions = 4096) {
+  return disjoint_count(query_all_paths(g, dest, max_expansions).paths);
+}
+
 // ------------------------------------------------------------ serve hook --
 
 /// Snapshot export hook (serving plane, src/serve): a CentaurNode invokes
@@ -357,9 +375,13 @@ std::size_t disjoint_path_count(const View& g, NodeId dest,
 /// sets may contain duplicates; `touched_links` covers every link whose
 /// payload or wire form may have changed and `changed_dests` every
 /// destination whose selection changed, so a delta-proportional publisher
-/// only has to copy those.  Called from handler context: the callee must
-/// not block, must not touch other nodes' state, and must confine shared
-/// side effects to its own single-writer cells (DESIGN.md §14.2).
+/// only has to copy those.  A call with both sets empty carries no delta,
+/// so the publisher reads the whole graph: a CentaurNode makes the first
+/// call of each protocol instance that way, so a restarted node's first
+/// publish replaces everything its crashed predecessor published.  Called
+/// from handler context: the callee must not block, must not touch other
+/// nodes' state, and must confine shared side effects to its own
+/// single-writer cells (DESIGN.md §14.2).
 using SnapshotSink = std::function<void(
     NodeId self, const PGraph& local, const std::vector<NodeId>& changed_dests,
     const std::vector<DirectedLink>& touched_links)>;

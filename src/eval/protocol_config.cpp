@@ -67,25 +67,11 @@ std::unique_ptr<sim::Node> make_protocol_node(Protocol p,
   return nullptr;
 }
 
-const char* to_string(SnapshotPolicy p) {
-  switch (p) {
-    case SnapshotPolicy::kDelta:
-      return "delta";
-    case SnapshotPolicy::kFull:
-      return "full";
-  }
-  return "?";
-}
-
 ServeOptions serve_options_from_env() {
   ServeOptions opts;
   opts.query_k = util::env_size_t("CENTAUR_QUERY_K", opts.query_k);
   opts.query_threads =
       util::env_size_t("CENTAUR_SERVE_THREADS", opts.query_threads);
-  const std::string policy = util::env_enum_strict(
-      "CENTAUR_SNAPSHOT_POLICY", {"delta", "full"}, "delta");
-  opts.snapshot_policy =
-      policy == "full" ? SnapshotPolicy::kFull : SnapshotPolicy::kDelta;
   return opts;
 }
 

@@ -70,35 +70,21 @@ struct RunOptions {
   core::SnapshotSink centaur_snapshot_sink;
 };
 
-/// How the serving plane publishes snapshots (DESIGN.md §14.2).
-enum class SnapshotPolicy {
-  kDelta,  ///< copy-on-publish of the dirty adjacency only: each snapshot
-           ///< overlays its predecessor and the chain is collapsed
-           ///< geometrically, so publish cost is amortised-proportional to
-           ///< the delta, not the graph
-  kFull,   ///< every publish materialises the complete adjacency (the
-           ///< ablation reference: O(graph) per publish, depth-1 lookups)
-};
-
-const char* to_string(SnapshotPolicy p);
-
 /// Query-plane knobs, split out of RunOptions: they configure how converged
 /// state is *served*, not how the protocol runs, so protocol equivalence
-/// and bit-identity contracts never depend on them.
+/// and bit-identity contracts never depend on them.  Snapshot publishing
+/// has a single path and no knob (DESIGN.md §14.1).
 struct ServeOptions {
   /// Paths enumerated per (src, dst) query (CENTAUR_QUERY_K).
   std::size_t query_k = 4;
   /// Query worker threads for serve/querybench (CENTAUR_SERVE_THREADS).
   /// Results are bit-identical for any value; only throughput changes.
   std::size_t query_threads = 4;
-  /// Snapshot publish mode (CENTAUR_SNAPSHOT_POLICY = "delta" | "full").
-  SnapshotPolicy snapshot_policy = SnapshotPolicy::kDelta;
 };
 
 /// ServeOptions from the environment via the strict util/env parsers:
 /// CENTAUR_QUERY_K and CENTAUR_SERVE_THREADS (integers >= 1; garbage warns
-/// once and keeps the default), CENTAUR_SNAPSHOT_POLICY ("delta"/"full",
-/// exact match; anything else warns once and keeps "delta").
+/// once and keeps the default).
 ServeOptions serve_options_from_env();
 
 /// Builds one protocol instance for a topology node.  This is the single

@@ -6,7 +6,6 @@
 
 #include "centaur/announce.hpp"
 #include "centaur/build_graph.hpp"
-#include "centaur/query.hpp"
 #include "policy/policy.hpp"
 #include "policy/valley_free.hpp"
 
@@ -135,21 +134,6 @@ PGraphStats compute_pgraph_stats(const AsGraph& g, std::size_t vantage_count,
           static_cast<double>(data.plist.byte_size(true)));
     }
     plists_sum += static_cast<double>(plists);
-
-    // Path diversity over a deterministic destination sample, read through
-    // the unified query API so the offline numbers match what the serving
-    // plane answers (DESIGN.md §14.3).
-    const core::PGraphView view{&pg};
-    const PGraph::DestList& dests = pg.destinations();
-    const std::size_t stride = std::max<std::size_t>(1, dests.size() / 32);
-    for (std::size_t d = 0; d < dests.size(); d += stride) {
-      const NodeId dest = dests[d];
-      if (dest == pg.root()) continue;
-      const core::KPathResult kp = core::query_k_paths(view, dest, 4);
-      stats.k_paths_per_dest.add(static_cast<double>(kp.paths.size()));
-      stats.disjoint_paths.add(
-          static_cast<double>(core::disjoint_path_count(view, dest)));
-    }
   }
 
   if (!vantage.empty()) {

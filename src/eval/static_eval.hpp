@@ -46,14 +46,6 @@ struct PGraphStats {
   util::Accumulator plist_bytes_bloom;
   util::Accumulator path_length;
   std::size_t unreachable_pairs = 0;
-  /// Path diversity read through the unified query API (core::query_k_paths
-  /// / core::disjoint_path_count, DESIGN.md §14.3) over a deterministic
-  /// destination sample per vantage P-graph: how many policy-compliant
-  /// paths the P-graph encodes per destination (capped at 4) and how many
-  /// of them are interior-node-disjoint (the serve-plane
-  /// disjoint_path_count lower bound).
-  util::Accumulator k_paths_per_dest;
-  util::Accumulator disjoint_paths;
 };
 
 /// How each node's "complete path set" (S5.2) is derived.

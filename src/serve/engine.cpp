@@ -28,11 +28,7 @@ QueryEngine::QueryEngine(std::size_t num_nodes,
       // Query threads plus headroom for the driver / main thread so a full
       // complement of readers never spins on slot acquisition.
       registry_(opts.query_threads + 2),
-      cells_(new Cell[num_nodes]) {
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    cells_[i].builder = SnapshotBuilder(opts.snapshot_policy);
-  }
-}
+      cells_(new Cell[num_nodes]) {}
 
 core::SnapshotSink QueryEngine::make_sink() {
   return [this](NodeId self, const PGraph& local,
@@ -48,7 +44,12 @@ void QueryEngine::publish(NodeId node, const PGraph& local,
   if (static_cast<std::size_t>(node) >= num_nodes_) return;
   Cell& cell = cells_[node];
   const auto t0 = std::chrono::steady_clock::now();
-  auto snap = cell.builder.publish(local, changed_dests, touched_links);
+  // No dirty sets means no delta (core::SnapshotSink): a fresh protocol
+  // instance's first publish, rebuilt so nothing its crashed predecessor
+  // published survives.
+  auto snap = changed_dests.empty() && touched_links.empty()
+                  ? cell.builder.rebuild(local)
+                  : cell.builder.publish(local, changed_dests, touched_links);
   cell.cell.publish(std::move(snap), registry_);
   const auto t1 = std::chrono::steady_clock::now();
   ++cell.publishes;
@@ -80,15 +81,18 @@ QueryEngine::QueryResult QueryEngine::query(NodeId src, NodeId dst,
     return result;
   }
 
-  core::KPathResult kp = core::query_k_paths(*snap, dst, k);
-  result.truncated = kp.truncated;
-  if (kp.paths.empty()) {
+  // One enumeration serves both answers: the first k paths and the
+  // disjoint count over all of them.
+  core::KPathResult all = core::query_all_paths(*snap, dst);
+  result.truncated = all.truncated;
+  if (all.paths.empty()) {
     result.status = QueryStatus::kUnreachable;
     return result;
   }
   result.status = QueryStatus::kOk;
-  result.paths = std::move(kp.paths);
-  result.disjoint = core::disjoint_path_count(*snap, dst);
+  result.disjoint = core::disjoint_count(all.paths);
+  if (all.paths.size() > k) all.paths.resize(k);
+  result.paths = std::move(all.paths);
   return result;
 }
 

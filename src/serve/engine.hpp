@@ -178,7 +178,8 @@ class QueryEngine {
   /// RunOptions::centaur_snapshot_sink before constructing the run.
   core::SnapshotSink make_sink();
 
-  /// Writer side (handler context, single writer per `node`).
+  /// Writer side (handler context, single writer per `node`).  Empty dirty
+  /// sets rebuild the cell's snapshot from the whole of `local`.
   void publish(NodeId node, const PGraph& local,
                const std::vector<NodeId>& changed_dests,
                const std::vector<DirectedLink>& touched_links);
@@ -207,7 +208,9 @@ class QueryEngine {
   /// (after a run joined / between campaign phases).
   struct PublishStats {
     std::uint64_t publishes = 0;    ///< snapshot swaps across all cells
-    std::uint64_t full_builds = 0;  ///< full materialisations among them
+    /// Publishes built from scratch: one per protocol instance that
+    /// published (a cell's first, plus one per restart).
+    std::uint64_t full_builds = 0;
     std::uint64_t cells_live = 0;   ///< nodes that have published
     double total_us = 0;            ///< summed publish latency
     double p50_us = 0;

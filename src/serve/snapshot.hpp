@@ -1,36 +1,55 @@
 // Immutable P-graph snapshots for the serving plane (DESIGN.md §14.1).
 //
 // A PGraphSnapshot is a frozen, self-contained view of one node's local
-// P-graph at a commit point: per-node in-link lists with their Permission
-// Lists, plus the destination marks.  Readers traverse it with the generic
-// walk in centaur/query.hpp (it satisfies the View requirements), so a
-// query answered from a snapshot is bit-identical to DerivePath on the live
-// graph it was taken from.
+// P-graph at a commit point: per-node in-links, the Permission Lists a walk
+// can read, and the destination marks.  Readers traverse it with the
+// generic walk in centaur/query.hpp (it satisfies the View requirements), so
+// a query answered from a snapshot is bit-identical to DerivePath on the
+// live graph it was taken from.
+//
+// Layout: a persistent 32-way radix tree keyed by node id, its nodes
+// bitmap-compressed (a presence bitmap plus a compact entry array indexed
+// by popcount; Bagwell, "Ideal Hash Trees", 2001).  A leaf covers 32
+// consecutive ids.  Its slot for a single-homed head holds the parent
+// inline; a multi-homed head's slot points at a SnapNode with the parents
+// and their Permission Lists.  DerivePath reads a Permission List only at a
+// multi-homed head, so single-homed heads carry none.  Lookups are two
+// levels deep for ids below 1,024 and never walk a version chain.
 //
 // Publish cost is the design constraint: the protocol hands the publisher
-// the flood-scratch dirty sets (PR 7's changed_dests_/touched_links_), so a
-// delta snapshot copies *only the dirty nodes' in-links* and overlays its
-// predecessor — an immutable chain with structural sharing.  The chain is
-// collapsed geometrically (flatten when the accumulated overlay volume
-// reaches the size of the last full level), keeping amortised publish cost
-// proportional to the delta while bounding lookup depth.
+// the flood-scratch dirty sets (changed_dests_/touched_links_), so a publish
+// copies only the leaves holding a dirty head or a changed destination mark
+// plus their path to the root, and shares every other tree node with its
+// predecessor (path copying).  Only a cell's first publish, and a rebuild
+// for a restarted protocol instance, build from scratch.  Tree nodes are
+// immutable from construction: a publish builds each node it copies once,
+// complete, before anyone can read it.
 //
-// Thread model: a snapshot is immutable after construction and safe to read
-// from any thread; SnapshotBuilder is single-writer per node (the owning
+// Ownership, without per-node reference counts (DESIGN.md §14.2): the
+// newest version owns its whole tree; each superseded version owns exactly
+// the tree nodes and SnapNodes its successor replaced, and keeps that
+// successor alive, because everything it shares lives in newer versions.
+// A rebuild shares nothing, so the version before it keeps its whole tree
+// and no successor.  Dropping versions in any order is therefore safe, and
+// a version's destructor releases the successor chain iteratively.
+//
+// Thread model: a snapshot is immutable to readers and safe to read from
+// any thread; SnapshotBuilder is single-writer per node (the owning
 // CentaurNode's handler lane — per-node cells is what makes lane-parallel
 // floods race-free, DESIGN.md §14.2).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "centaur/pgraph.hpp"
-#include "eval/protocol_config.hpp"
 #include "util/small_vec.hpp"
-#include "util/vec_map.hpp"
 
 namespace centaur::serve {
 
@@ -38,113 +57,164 @@ using core::DirectedLink;
 using core::PGraph;
 using topo::NodeId;
 
-/// Frozen in-link state of one node: parents ascending, Permission Lists
-/// parallel to them.  An entry with no parents shadows the node as
-/// "currently link-less" in overlay levels.
+/// Frozen in-link state of one multi-homed node: parents ascending,
+/// Permission Lists parallel to them.
 struct SnapNode {
   PGraph::AdjList parents;
   std::vector<core::PermissionList> plists;  // parallel to parents
 };
 
+namespace snapshot_detail {
+
+inline constexpr unsigned kBits = 5;  // 32-way fan-out
+
+struct TreeNode;
+
+/// One compact entry: a branch's child, or a leaf slot — the inline parent
+/// of a single-homed head or the SnapNode of a multi-homed one (the leaf's
+/// `multi` bitmap says which).
+union Entry {
+  const TreeNode* child;
+  NodeId parent;
+  const SnapNode* multi;
+};
+
+/// Radix-tree node, allocated with its entries in one block: popcount(
+/// `present`) entries follow the header in index order.  In a branch
+/// `present` marks the non-empty children; in a leaf it marks the ids with
+/// in-links, `multi` the multi-homed subset and `dests` the destination
+/// marks.
+struct TreeNode {
+  std::uint32_t present = 0;
+  std::uint32_t multi = 0;
+  std::uint32_t dests = 0;
+  std::uint32_t count = 0;  // popcount(present)
+
+  const Entry* entries() const {
+    return std::launder(reinterpret_cast<const Entry*>(this + 1));
+  }
+  Entry* entries() { return std::launder(reinterpret_cast<Entry*>(this + 1)); }
+  /// Entry of the index whose presence bit is `bit` (which must be set).
+  const Entry& at(std::uint32_t bit) const {
+    return entries()[std::popcount(present & (bit - 1))];
+  }
+};
+
+/// Predecessor nodes a publish replaced: the predecessor owns them and
+/// frees them when it dies.
+struct Replaced {
+  util::SmallVec<const TreeNode*, 4> nodes;
+  util::SmallVec<const SnapNode*, 4> multis;
+};
+
+}  // namespace snapshot_detail
+
 class PGraphSnapshot {
  public:
+  PGraphSnapshot() = default;
+  ~PGraphSnapshot();
+  PGraphSnapshot(const PGraphSnapshot&) = delete;
+  PGraphSnapshot& operator=(const PGraphSnapshot&) = delete;
+
   NodeId root() const { return root_; }
   /// Per-node publish sequence number (1 = first publish).  Deterministic:
   /// it counts this node's commits, independent of thread interleaving.
   std::uint64_t version() const { return version_; }
-  /// Overlay chain length under this snapshot (1 = full/flattened).
-  std::size_t depth() const { return depth_; }
-  bool full() const { return full_; }
-  /// Nodes materialised at this level only (the delta size for overlays).
-  std::size_t level_nodes() const { return nodes_.size(); }
-
-  /// In-link state of `n`, or nullptr when `n` has no in-links.  Walks the
-  /// overlay chain: the first level that materialised `n` wins.
-  const SnapNode* in_links(NodeId n) const {
-    for (const PGraphSnapshot* level = this; level != nullptr;
-         level = level->base_.get()) {
-      if (const SnapNode* sn = level->nodes_.find(n)) {
-        return sn->parents.empty() ? nullptr : sn;
-      }
-      if (level->full_) break;
-    }
-    return nullptr;
-  }
 
   bool is_destination(NodeId d) const {
-    for (const PGraphSnapshot* level = this; level != nullptr;
-         level = level->base_.get()) {
-      if (level->full_) return util::sorted_contains(level->dests_, d);
-      if (const std::uint8_t* mark = level->marks_.find(d)) {
-        return *mark != 0;
-      }
-    }
-    return false;
+    const snapshot_detail::TreeNode* leaf = leaf_of(d);
+    return leaf != nullptr && (leaf->dests & bit_of(d)) != 0;
   }
 
   // --- View interface for the centaur/query.hpp walk templates ----------
 
-  const PGraph::AdjList& parents(NodeId n) const {
-    const SnapNode* sn = in_links(n);
-    return sn != nullptr ? sn->parents : kEmptyAdj;
+  /// Parents of `n` ascending; empty when `n` has no in-links.
+  std::span<const NodeId> parents(NodeId n) const {
+    const snapshot_detail::TreeNode* leaf = leaf_of(n);
+    const std::uint32_t bit = bit_of(n);
+    if (leaf == nullptr || (leaf->present & bit) == 0) return {};
+    const snapshot_detail::Entry& e = leaf->at(bit);
+    if ((leaf->multi & bit) == 0) return {&e.parent, 1};
+    return {e.multi->parents.data(), e.multi->parents.size()};
   }
 
+  /// Permission List of from->to, defined only at a multi-homed head `to`:
+  /// nullptr when `to` has fewer than two parents or `from` is not one.
   const core::PermissionList* plist(NodeId from, NodeId to) const {
-    const SnapNode* sn = in_links(to);
-    if (sn == nullptr) return nullptr;
-    const auto it =
-        std::lower_bound(sn->parents.begin(), sn->parents.end(), from);
-    if (it == sn->parents.end() || *it != from) return nullptr;
-    return &sn->plists[static_cast<std::size_t>(it - sn->parents.begin())];
+    const snapshot_detail::TreeNode* leaf = leaf_of(to);
+    const std::uint32_t bit = bit_of(to);
+    if (leaf == nullptr || (leaf->multi & bit) == 0) return nullptr;
+    const SnapNode& sn = *leaf->at(bit).multi;
+    const auto it = std::lower_bound(sn.parents.begin(), sn.parents.end(), from);
+    if (it == sn.parents.end() || *it != from) return nullptr;
+    return &sn.plists[static_cast<std::size_t>(it - sn.parents.begin())];
   }
 
  private:
   friend class SnapshotBuilder;
 
-  static const PGraph::AdjList kEmptyAdj;
+  static std::uint32_t bit_of(NodeId n) {
+    return std::uint32_t{1} << (n & ((1u << snapshot_detail::kBits) - 1));
+  }
 
-  std::shared_ptr<const PGraphSnapshot> base_;    // null at a full level
-  util::VecMap<NodeId, SnapNode> nodes_;          // this level's materialised nodes
-  util::VecMap<NodeId, std::uint8_t> marks_;      // overlay mark flips
-  PGraph::DestList dests_;                        // full level: complete set
+  /// The leaf covering `n`, or nullptr when no node of its 32-id block is
+  /// present.
+  const snapshot_detail::TreeNode* leaf_of(NodeId n) const {
+    unsigned shift = snapshot_detail::kBits * height_;
+    if ((std::uint64_t{n} >> shift) != 0) return nullptr;
+    const snapshot_detail::TreeNode* node = tree_;
+    while (node != nullptr && (shift -= snapshot_detail::kBits) != 0) {
+      const std::uint32_t bit = std::uint32_t{1} << ((n >> shift) & 31u);
+      if ((node->present & bit) == 0) return nullptr;
+      node = node->at(bit).child;
+    }
+    return node;
+  }
+
+  const snapshot_detail::TreeNode* tree_ = nullptr;
+  unsigned height_ = 1;  // levels: ids below 32^height_ fit
   NodeId root_ = topo::kInvalidNode;
   std::uint64_t version_ = 0;
-  std::size_t depth_ = 1;
-  bool full_ = false;
+
+  // Writer-side ownership bookkeeping; readers never touch it.
+  bool superseded_ = false;  // a successor shares the tree: own replaced_
+  snapshot_detail::Replaced replaced_;
+  std::shared_ptr<PGraphSnapshot> successor_;
 };
 
 /// Single-writer snapshot publisher for one node.  publish() turns the
 /// current local P-graph plus the flood-scratch dirty sets into the next
-/// immutable snapshot; under SnapshotPolicy::kDelta it materialises only
-/// the dirty nodes and collapses the chain geometrically, under kFull every
-/// publish is a complete copy (the ablation reference).
+/// immutable snapshot by path copying its predecessor; the first publish
+/// builds the tree from the whole graph, and so does rebuild().
+///
+/// Not copyable: a predecessor's replaced nodes and successor link belong
+/// to the one builder that superseded it.
 class SnapshotBuilder {
  public:
-  explicit SnapshotBuilder(eval::SnapshotPolicy policy =
-                               eval::SnapshotPolicy::kDelta)
-      : policy_(policy) {}
+  SnapshotBuilder() = default;
+  SnapshotBuilder(const SnapshotBuilder&) = delete;
+  SnapshotBuilder& operator=(const SnapshotBuilder&) = delete;
 
   /// Builds the successor snapshot.  `changed_dests` / `touched_links` may
-  /// contain duplicates (they are the raw flood scratch).
+  /// contain duplicates (they are the raw flood scratch); both are ignored
+  /// on the first publish, which reads the whole graph.
   std::shared_ptr<const PGraphSnapshot> publish(
       const PGraph& local, const std::vector<NodeId>& changed_dests,
       const std::vector<DirectedLink>& touched_links);
 
-  /// Full snapshots built so far (collapses + kFull publishes) — the
-  /// publish-cost observable the delta-vs-full tests assert on.
+  /// Builds the successor snapshot from the whole graph, sharing nothing
+  /// with the predecessor: a restarted protocol instance's graph has no
+  /// delta relation to what its crashed predecessor published.  Versions
+  /// keep counting.
+  std::shared_ptr<const PGraphSnapshot> rebuild(const PGraph& local);
+
+  /// Snapshots built from scratch: the first publish plus every rebuild.
   std::uint64_t full_builds() const { return full_builds_; }
 
  private:
-  std::shared_ptr<const PGraphSnapshot> build_full(const PGraph& local);
-
-  eval::SnapshotPolicy policy_;
-  std::shared_ptr<const PGraphSnapshot> prev_;
+  std::shared_ptr<PGraphSnapshot> prev_;
   std::uint64_t next_version_ = 1;
   std::uint64_t full_builds_ = 0;
-  /// Overlay volume accumulated since the last full level; a flatten is due
-  /// when it reaches the full level's size (geometric collapse).
-  std::size_t overlay_accum_ = 0;
-  std::size_t full_nodes_ = 0;
   std::vector<NodeId> dirty_scratch_;
 };
 

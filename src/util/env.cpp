@@ -83,24 +83,6 @@ std::optional<std::string> env_string(const char* name) {
   return std::string(raw);
 }
 
-std::string env_enum_strict(const char* name,
-                            const std::vector<std::string>& allowed,
-                            const std::string& fallback) {
-  const std::optional<std::string> raw = env_string(name);
-  if (!raw) return fallback;
-  for (const std::string& a : allowed) {
-    if (*raw == a) return a;
-  }
-  std::string spellings;
-  for (const std::string& a : allowed) {
-    if (!spellings.empty()) spellings += "|";
-    spellings += a;
-  }
-  warn_once(name, std::string(name) + "='" + *raw + "' is not " + spellings +
-                      "; using " + fallback);
-  return fallback;
-}
-
 bool env_flag_strict(const char* name, bool fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace centaur::util {
 
@@ -47,13 +46,5 @@ bool env_flag_strict(const char* name, bool fallback);
 /// Centralising the getenv call here is what lets centaur-lint rule E1
 /// forbid getenv everywhere else.
 std::optional<std::string> env_string(const char* name);
-
-/// Enum env knob: unset -> fallback; an exact (case-sensitive) match with
-/// an entry of `allowed` -> that entry; anything else -> warn once listing
-/// the accepted spellings, fallback.  Returns the matched spelling so
-/// callers can switch on string value without re-normalising.
-std::string env_enum_strict(const char* name,
-                            const std::vector<std::string>& allowed,
-                            const std::string& fallback);
 
 }  // namespace centaur::util

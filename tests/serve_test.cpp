@@ -1,12 +1,18 @@
-// Serving-plane tests (DESIGN.md §14): snapshot correctness, RCU swap
-// linearizability (the tsan CI job runs this binary), k-path enumeration
-// properties, the unified self-destination contract across every query
-// entry point, and cross-thread-count bit-identity of query answers.
+// Serving-plane tests (DESIGN.md §14): snapshot correctness against a
+// from-scratch oracle, snapshot lifetimes (the sanitize CI job runs this
+// binary under ASan/UBSan), RCU swap linearizability (the tsan CI job runs
+// it too), k-path enumeration properties, the unified self-destination
+// contract across every query entry point, cross-thread-count bit-identity
+// of query answers, and engine answers matching each node's live P-graph,
+// across a crash/restart too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +21,8 @@
 #include "centaur/query.hpp"
 #include "eval/experiments.hpp"
 #include "eval/static_eval.hpp"
+#include "faults/campaign.hpp"
+#include "faults/fault_script.hpp"
 #include "serve/engine.hpp"
 #include "serve/query_bench.hpp"
 #include "serve/query_file.hpp"
@@ -96,9 +104,11 @@ PGraph diamond_via(NodeId via) {
   return g;
 }
 
-std::shared_ptr<const PGraphSnapshot> full_snapshot(
-    serve::SnapshotBuilder& builder, const PGraph& g) {
-  return builder.publish(g, {}, {});
+/// A snapshot of `g` built from scratch: a fresh builder's first publish
+/// reads the whole graph (the oracle the delta publishes are checked
+/// against).
+std::shared_ptr<const PGraphSnapshot> from_scratch(const PGraph& g) {
+  return serve::SnapshotBuilder().publish(g, {}, {});
 }
 
 /// Policy-compliance predicate for an enumerated path root..dest: every hop
@@ -113,7 +123,7 @@ bool policy_compliant(const View& g, const Path& path, NodeId dest) {
   for (std::size_t j = 1; j < path.size(); ++j) {
     const NodeId from = path[j - 1];
     const NodeId to = path[j];
-    const PGraph::AdjList& ps = g.parents(to);
+    const auto& ps = g.parents(to);
     if (std::find(ps.begin(), ps.end(), from) == ps.end()) return false;
     if (ps.size() <= 1) continue;
     const NodeId came_from = (j + 1 < path.size()) ? path[j + 1] : kNoNextHop;
@@ -136,26 +146,28 @@ bool policy_compliant(const View& g, const Path& path, NodeId dest) {
 // --------------------------------------------------------------- snapshots --
 
 TEST(Snapshot, FullMatchesLiveGraph) {
-  const PGraph g = diamond();
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kFull);
-  const auto snap = full_snapshot(builder, g);
+  PGraph g = diamond();
+  // BuildGraph records a list on every link; DerivePath reads it only at a
+  // multi-homed head, and so does the snapshot.
+  g.link_data(0, 1).plist.add(3, 3);
+  const auto snap = from_scratch(g);
 
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->root(), 0u);
   EXPECT_EQ(snap->version(), 1u);
-  EXPECT_TRUE(snap->full());
   EXPECT_TRUE(snap->is_destination(3));
   EXPECT_FALSE(snap->is_destination(1));
 
   for (NodeId n = 0; n <= 3; ++n) {
     const PGraph::AdjList& live = g.parents(n);
-    const PGraph::AdjList& frozen = snap->parents(n);
+    const auto frozen = snap->parents(n);
     ASSERT_EQ(live.size(), frozen.size()) << n;
     EXPECT_TRUE(std::equal(live.begin(), live.end(), frozen.begin())) << n;
   }
   EXPECT_NE(snap->plist(1, 3), nullptr);
   EXPECT_TRUE(snap->plist(1, 3)->permits(3, kNoNextHop));
   EXPECT_EQ(snap->plist(0, 3), nullptr);
+  EXPECT_EQ(snap->plist(0, 1), nullptr);  // single-homed head
 
   Path from_snap, from_live;
   EXPECT_EQ(core::query_path_over(*snap, core::PathQuery{3}, from_snap),
@@ -168,16 +180,13 @@ TEST(Snapshot, FullMatchesLiveGraph) {
 
 TEST(Snapshot, DeltaOverlayTracksChangesAndShadowsEmptyNodes) {
   PGraph g = diamond();
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kDelta);
+  serve::SnapshotBuilder builder;
   const auto v1 = builder.publish(g, {}, {});
-  ASSERT_TRUE(v1->full());
 
   // Retract 1->3: only node 3's in-links are dirty.
   g.remove_link(1, 3);
   const auto v2 = builder.publish(g, {3}, {{1, 3}});
   EXPECT_EQ(v2->version(), 2u);
-  EXPECT_FALSE(v2->full());
-  EXPECT_EQ(v2->depth(), 2u);
   ASSERT_EQ(v2->parents(3).size(), 1u);
   EXPECT_EQ(v2->parents(3).front(), 2u);
   // The predecessor is untouched (immutability / structural sharing).
@@ -188,8 +197,8 @@ TEST(Snapshot, DeltaOverlayTracksChangesAndShadowsEmptyNodes) {
             core::PathStatus::kFound);
   EXPECT_EQ(p, (Path{0, 2, 3}));
 
-  // Retract the last in-link: the overlay must *shadow* node 3 as link-less,
-  // not fall through to the stale full level.
+  // Retract the last in-link: node 3 must read as link-less, not keep the
+  // predecessor's slot.
   g.remove_link(2, 3);
   g.unmark_destination(3);
   const auto v3 = builder.publish(g, {3}, {{2, 3}});
@@ -197,63 +206,328 @@ TEST(Snapshot, DeltaOverlayTracksChangesAndShadowsEmptyNodes) {
   EXPECT_FALSE(v3->is_destination(3));
   EXPECT_EQ(core::query_path_over(*v3, core::PathQuery{3}, p),
             core::PathStatus::kUnreachable);
-  // Untouched nodes still resolve through the chain.
+  // Untouched nodes still resolve through the shared tree.
   EXPECT_EQ(v3->parents(1).size(), 1u);
 }
 
-TEST(Snapshot, DeltaChainCollapsesGeometrically) {
-  PGraph g = diamond();
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kDelta);
-  std::shared_ptr<const PGraphSnapshot> snap = builder.publish(g, {}, {});
-  // 64 no-op deltas over the same dirty node: the chain must flatten
-  // periodically instead of growing without bound.
-  std::size_t max_depth = 0;
-  for (int i = 0; i < 64; ++i) {
-    snap = builder.publish(g, {3}, {{1, 3}});
-    max_depth = std::max(max_depth, snap->depth());
-  }
-  EXPECT_LE(max_depth, 20u);
-  EXPECT_GE(builder.full_builds(), 2u);  // initial + at least one collapse
-  EXPECT_LT(builder.full_builds(), 64u);
+/// Ids on both sides of the radix tree's height boundaries (32, 1,024 and
+/// 32,768 ids), ascending: a random graph over a growing prefix grows the
+/// tree's height as it goes.
+constexpr NodeId kBoundaryIds[] = {0,    1,    2,     3,     4,     5,
+                                   30,   31,   32,    33,    1022,  1023,
+                                   1024, 1025, 32766, 32767, 32768, 32769};
 
-  Path p;
-  ASSERT_EQ(core::query_path_over(*snap, core::PathQuery{3}, p),
-            core::PathStatus::kFound);
-  EXPECT_EQ(p, (Path{0, 1, 3}));
+/// Expects `snap` to present exactly `g` over `ids`: parents, the
+/// Permission Lists at multi-homed heads (nullptr at every other head) and
+/// the destination marks.
+void expect_frozen(const PGraphSnapshot& snap, const PGraph& g,
+                   std::span<const NodeId> ids) {
+  EXPECT_EQ(snap.root(), g.root());
+  for (const NodeId n : ids) {
+    const PGraph::AdjList& live = g.parents(n);
+    const auto frozen = snap.parents(n);
+    ASSERT_TRUE(std::equal(live.begin(), live.end(), frozen.begin(),
+                           frozen.end()))
+        << n;
+    EXPECT_EQ(snap.is_destination(n), g.is_destination(n)) << n;
+    for (const NodeId p : live) {
+      const core::PermissionList* pl = snap.plist(p, n);
+      if (live.size() < 2) {
+        EXPECT_EQ(pl, nullptr) << p << "->" << n;
+        continue;
+      }
+      ASSERT_NE(pl, nullptr) << p << "->" << n;
+      EXPECT_EQ(*pl, g.link_data(p, n).plist) << p << "->" << n;
+    }
+  }
+  // Ids past every leaf read as absent, whatever the tree's height.
+  for (const NodeId n : {NodeId{40000}, NodeId{1} << 20, NodeId{0xFFFFFFF0}}) {
+    EXPECT_TRUE(snap.parents(n).empty()) << n;
+    EXPECT_FALSE(snap.is_destination(n)) << n;
+  }
 }
 
-TEST(Snapshot, DeltaAndFullPoliciesAnswerIdentically) {
-  PGraph g = diamond();
-  serve::SnapshotBuilder delta(eval::SnapshotPolicy::kDelta);
-  serve::SnapshotBuilder full(eval::SnapshotPolicy::kFull);
+/// Expects the walks over two views to answer alike for every destination
+/// in `ids`: DerivePath, k paths and the disjoint count.
+template <typename ViewA, typename ViewB>
+void expect_same_answers(const ViewA& a, const ViewB& b,
+                         std::span<const NodeId> ids) {
+  for (const NodeId d : ids) {
+    Path pa, pb;
+    EXPECT_EQ(core::query_path_over(a, core::PathQuery{d}, pa),
+              core::query_path_over(b, core::PathQuery{d}, pb))
+        << d;
+    EXPECT_EQ(pa, pb) << d;
+    const core::KPathResult ka = core::query_k_paths(a, d, 4);
+    const core::KPathResult kb = core::query_k_paths(b, d, 4);
+    EXPECT_EQ(ka.paths, kb.paths) << d;
+    EXPECT_EQ(ka.truncated, kb.truncated) << d;
+    EXPECT_EQ(core::disjoint_path_count(a, d),
+              core::disjoint_path_count(b, d))
+        << d;
+  }
+}
 
-  const auto step = [&](const std::vector<NodeId>& dests,
-                        const std::vector<core::DirectedLink>& links) {
-    const auto d = delta.publish(g, dests, links);
-    const auto f = full.publish(g, dests, links);
-    EXPECT_EQ(d->version(), f->version());
-    for (NodeId dest = 0; dest <= 4; ++dest) {
-      Path pd, pf;
-      const auto sd = core::query_path_over(*d, core::PathQuery{dest}, pd);
-      const auto sf = core::query_path_over(*f, core::PathQuery{dest}, pf);
-      EXPECT_EQ(sd, sf) << dest;
-      EXPECT_EQ(pd, pf) << dest;
-      EXPECT_EQ(d->is_destination(dest), f->is_destination(dest)) << dest;
+/// Random P-graph mutations over a prefix of kBoundaryIds, recording the
+/// dirty sets the protocol would hand the publisher.  A link runs from a
+/// lower to a higher position in the id list, so the graph stays acyclic
+/// and rooted at id 0.
+class Mutator {
+ public:
+  Mutator(PGraph& g, std::uint64_t seed) : g_(g), rng_(seed) {}
+
+  std::vector<NodeId> changed_dests;
+  std::vector<core::DirectedLink> touched;
+
+  /// One to three mutations among the first `live` ids.
+  void step(std::size_t live) {
+    changed_dests.clear();
+    touched.clear();
+    const std::size_t mutations = 1 + rng_.index(3);
+    for (std::size_t i = 0; i < mutations; ++i) mutate(live);
+  }
+
+ private:
+  NodeId any(std::size_t live) { return kBoundaryIds[rng_.index(live)]; }
+
+  static std::size_t position(NodeId n) {
+    return static_cast<std::size_t>(
+        std::find(std::begin(kBoundaryIds), std::end(kBoundaryIds), n) -
+        std::begin(kBoundaryIds));
+  }
+
+  void add(NodeId from, NodeId to, std::size_t live) {
+    g_.add_link(from, to);
+    if (rng_.chance(0.6)) {
+      g_.link_data(from, to).plist.add(
+          any(live), rng_.chance(0.5) ? kNoNextHop : any(live));
     }
-  };
+    touched.push_back({from, to});
+  }
 
-  step({}, {});
-  g.remove_link(1, 3);
-  step({3}, {{1, 3}});
-  g.add_link(1, 3);
-  g.link_data(1, 3).plist.add(3, kNoNextHop);
-  step({3}, {{1, 3}});
-  g.mark_destination(2);
-  step({2}, {});
+  void remove(NodeId from, NodeId to) {
+    g_.remove_link(from, to);
+    touched.push_back({from, to});
+  }
 
-  // The ablation observable: full pays a complete build per publish.
-  EXPECT_EQ(full.full_builds(), 4u);
-  EXPECT_LT(delta.full_builds(), full.full_builds());
+  void mutate(std::size_t live) {
+    std::vector<core::DirectedLink> links;
+    for (const auto& [link, data] : g_.links()) links.push_back(link);
+    std::sort(links.begin(), links.end(), [](const auto& a, const auto& b) {
+      return a.from != b.from ? a.from < b.from : a.to < b.to;
+    });
+    const core::DirectedLink picked =
+        links.empty() ? core::DirectedLink{0, 0}
+                      : links[rng_.index(links.size())];
+    switch (links.empty() ? 0 : rng_.index(6)) {
+      case 0: {  // add a link, listed or not
+        const std::size_t to = 1 + rng_.index(live - 1);
+        add(kBoundaryIds[rng_.index(to)], kBoundaryIds[to], live);
+        break;
+      }
+      case 1:  // remove a link
+        remove(picked.from, picked.to);
+        break;
+      case 2: {  // change a Permission List
+        core::PermissionList& pl = g_.link_data(picked.from, picked.to).plist;
+        const NodeId dest = any(live);
+        if (!pl.remove(dest, kNoNextHop)) pl.add(dest, kNoNextHop);
+        touched.push_back(picked);
+        break;
+      }
+      case 3: {  // single <-> multi-homed flip at one head
+        const PGraph::AdjList ps = g_.parents(picked.to);
+        if (ps.size() > 1) {
+          for (std::size_t i = 1; i < ps.size(); ++i) remove(ps[i], picked.to);
+          break;
+        }
+        const std::size_t below = position(picked.to);
+        if (below < 2) break;  // only the root sits below
+        NodeId from = kBoundaryIds[rng_.index(below)];
+        if (from == ps.front()) from = kBoundaryIds[(position(from) + 1) % below];
+        add(from, picked.to, live);
+        break;
+      }
+      case 4: {  // a head loses every in-link
+        const PGraph::AdjList ps = g_.parents(picked.to);
+        for (const NodeId p : ps) remove(p, picked.to);
+        break;
+      }
+      default: {  // flip a destination mark
+        const NodeId d = any(live);
+        if (!g_.unmark_destination(d)) g_.mark_destination(d);
+        changed_dests.push_back(d);
+        break;
+      }
+    }
+  }
+
+  PGraph& g_;
+  util::Rng rng_;
+};
+
+TEST(Snapshot, DeltaPublishesMatchFromScratchOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    PGraph g(0);
+    Mutator mutator(g, seed);
+    serve::SnapshotBuilder builder;
+    std::vector<std::pair<std::shared_ptr<const PGraphSnapshot>, PGraph>>
+        history;
+    history.emplace_back(builder.publish(g, {}, {}), g);
+    for (std::size_t step = 0; step < 300; ++step) {
+      // Larger ids join gradually, so the tree grows from one level to four
+      // while it is being path-copied.
+      const std::size_t live =
+          std::min(std::size(kBoundaryIds), 6 + step / 20);
+      mutator.step(live);
+      const auto delta =
+          builder.publish(g, mutator.changed_dests, mutator.touched);
+      const auto oracle = from_scratch(g);
+      EXPECT_EQ(delta->version(), step + 2);
+      // Both match the live graph, hence each other, id by id.
+      expect_frozen(*delta, g, kBoundaryIds);
+      expect_frozen(*oracle, g, kBoundaryIds);
+      expect_same_answers(*delta, *oracle, kBoundaryIds);
+      expect_same_answers(*delta, core::PGraphView{&g}, kBoundaryIds);
+      if (HasFatalFailure()) return;
+      history.emplace_back(delta, g);
+    }
+    EXPECT_EQ(builder.full_builds(), 1u);
+    // Every earlier version still reads as the graph it was published from.
+    for (const auto& [snap, graph] : history) {
+      expect_frozen(*snap, graph, kBoundaryIds);
+      expect_same_answers(*snap, core::PGraphView{&graph}, kBoundaryIds);
+    }
+  }
+}
+
+/// Heads spread over many leaves and three tree levels: single-homed heads
+/// under the root and multi-homed, listed, destination heads on both sides
+/// of id 1,024.
+PGraph wide_graph() {
+  PGraph g(0);
+  for (NodeId n = 1; n < 64; ++n) g.add_link(0, n);
+  for (NodeId n = 1; n < 16; ++n) {
+    const NodeId head = 1000 + 7 * n;
+    for (const NodeId p : {n, n + 16}) {
+      g.add_link(p, head);
+      g.link_data(p, head).plist.add(head, kNoNextHop);
+    }
+    g.mark_destination(head);
+  }
+  return g;
+}
+
+/// Ids covering wide_graph() and its neighbourhood.
+std::vector<NodeId> wide_ids() {
+  std::vector<NodeId> ids(1200);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i);
+  return ids;
+}
+
+/// Changes every head of `g` (a Permission-List pair on every link, the
+/// mark of every head) and records the dirty sets, so the next publish
+/// replaces every tree node and every SnapNode.
+void churn_every_head(PGraph& g, NodeId tag, std::vector<NodeId>& dests,
+                      std::vector<core::DirectedLink>& touched) {
+  dests.clear();
+  touched.clear();
+  for (const auto& [link, data] : g.links()) touched.push_back(link);
+  for (const core::DirectedLink& link : touched) {
+    g.link_data(link.from, link.to).plist.add(tag, kNoNextHop);
+    dests.push_back(link.to);
+  }
+  std::sort(dests.begin(), dests.end());
+  dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  for (const NodeId d : dests) {
+    if (!g.unmark_destination(d)) g.mark_destination(d);
+  }
+}
+
+TEST(Snapshot, HeldVersionOutlivesSuccessorsDroppedInAnyOrder) {
+  PGraph g = wide_graph();
+  const PGraph g1 = g;
+  const std::vector<NodeId> ids = wide_ids();
+  auto builder = std::make_unique<serve::SnapshotBuilder>();
+  std::shared_ptr<const PGraphSnapshot> v1 = builder->publish(g, {}, {});
+
+  // Intermediate versions each change one multi-homed head and one mark,
+  // so they share most of their nodes with v1 and with each other.
+  std::vector<std::shared_ptr<const PGraphSnapshot>> held;
+  for (NodeId round = 0; round < 12; ++round) {
+    const NodeId from = 1 + round;
+    const NodeId head = 1000 + 7 * from;
+    g.link_data(from, head).plist.add(5000 + round, kNoNextHop);
+    g.mark_destination(from);
+    held.push_back(builder->publish(g, {from}, {{from, head}}));
+  }
+  util::Rng rng(7);
+  std::shuffle(held.begin(), held.end(), rng);
+  while (!held.empty()) {
+    held.pop_back();
+    expect_frozen(*v1, g1, ids);
+  }
+
+  // Publish until every tree node and SnapNode v1 reaches is replaced.
+  std::vector<NodeId> dests;
+  std::vector<core::DirectedLink> touched;
+  for (NodeId round = 0; round < 3; ++round) {
+    churn_every_head(g, 6000 + round, dests, touched);
+    builder->publish(g, dests, touched);
+  }
+  expect_frozen(*v1, g1, ids);
+
+  // A long chain behind v1 alone: once the builder is gone, dropping v1
+  // releases every successor, iteratively.
+  for (int i = 0; i < 20000; ++i) {
+    builder->publish(g, {}, {{0, static_cast<NodeId>(1 + i % 63)}});
+  }
+  builder.reset();
+  expect_frozen(*v1, g1, ids);
+  expect_same_answers(*v1, core::PGraphView{&g1}, ids);
+  v1.reset();
+}
+
+TEST(Snapshot, RebuildKeepsNothingOfItsPredecessors) {
+  // A rebuild reads only the graph it is given (a restarted protocol
+  // instance's), whatever the versions before it held, and those versions
+  // stay readable until their own handles drop.
+  PGraph g = wide_graph();
+  const PGraph g1 = g;
+  const std::vector<NodeId> ids = wide_ids();
+  serve::SnapshotBuilder builder;
+  std::shared_ptr<const PGraphSnapshot> v1 = builder.publish(g, {}, {});
+  g.link_data(1, 1007).plist.add(5000, kNoNextHop);
+  g.mark_destination(1);
+  std::shared_ptr<const PGraphSnapshot> v2 =
+      builder.publish(g, {1}, {{1, 1007}});
+
+  PGraph fresh(0);
+  fresh.add_link(0, 2);
+  fresh.mark_destination(2);
+  const PGraph fresh1 = fresh;
+  const auto v3 = builder.rebuild(fresh);
+  EXPECT_EQ(v3->version(), 3u);
+  EXPECT_EQ(builder.full_builds(), 2u);
+  expect_frozen(*v3, fresh, ids);
+  expect_same_answers(*v3, core::PGraphView{&fresh}, ids);
+
+  // Deltas after a rebuild path-copy the rebuilt tree.
+  fresh.add_link(2, 1030);
+  fresh.add_link(0, 1030);
+  fresh.link_data(2, 1030).plist.add(1030, kNoNextHop);
+  fresh.mark_destination(1030);
+  const auto v4 = builder.publish(fresh, {1030}, {{2, 1030}, {0, 1030}});
+  EXPECT_EQ(builder.full_builds(), 2u);
+  expect_frozen(*v4, fresh, ids);
+  expect_frozen(*v3, fresh1, ids);
+
+  // v1 shares nodes that v2 owns: dropping v2's handle first must keep
+  // them alive.
+  v2.reset();
+  expect_frozen(*v1, g1, ids);
+  expect_same_answers(*v1, core::PGraphView{&g1}, ids);
 }
 
 // --------------------------------------------------------------------- RCU --
@@ -261,10 +535,10 @@ TEST(Snapshot, DeltaAndFullPoliciesAnswerIdentically) {
 TEST(Rcu, PinnedReaderBlocksReclamationUnpinnedDrains) {
   serve::ReaderRegistry reg(4);
   serve::SnapshotCell cell;
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kFull);
+  serve::SnapshotBuilder builder;
   const PGraph g = diamond();
 
-  cell.publish(full_snapshot(builder, g), reg);
+  cell.publish(builder.publish(g, {}, {}), reg);
   EXPECT_EQ(cell.retired_count(), 0u);
 
   {
@@ -273,8 +547,8 @@ TEST(Rcu, PinnedReaderBlocksReclamationUnpinnedDrains) {
     ASSERT_NE(held, nullptr);
     EXPECT_EQ(held->version(), 1u);
 
-    cell.publish(full_snapshot(builder, g), reg);
-    cell.publish(full_snapshot(builder, g), reg);
+    cell.publish(builder.publish(g, {}, {}), reg);
+    cell.publish(builder.publish(g, {}, {}), reg);
     // Both predecessors were retired while we were pinned: neither may be
     // freed (ASan would flag the reads below if they were).
     EXPECT_EQ(cell.retired_count(), 2u);
@@ -284,7 +558,7 @@ TEST(Rcu, PinnedReaderBlocksReclamationUnpinnedDrains) {
   }
 
   // Reader quiescent: the next publish reclaims the whole retire list.
-  cell.publish(full_snapshot(builder, g), reg);
+  cell.publish(builder.publish(g, {}, {}), reg);
   EXPECT_EQ(cell.retired_count(), 0u);
   EXPECT_EQ(reg.min_pinned(), UINT64_MAX);
 }
@@ -301,8 +575,10 @@ TEST(Rcu, ReadersNeverObserveTornState) {
   constexpr std::size_t kReaders = 3;
   serve::ReaderRegistry reg(kReaders + 1);
   serve::SnapshotCell cell;
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kFull);
-  cell.publish(full_snapshot(builder, ga), reg);
+  serve::SnapshotBuilder builder;
+  // The two graphs differ only in the lists on node 3's in-links.
+  const std::vector<core::DirectedLink> touched{{1, 3}, {2, 3}};
+  cell.publish(builder.publish(ga, {}, touched), reg);
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> reads{0};
@@ -334,7 +610,7 @@ TEST(Rcu, ReadersNeverObserveTornState) {
                                  kReaders * 8;
        ++i) {
     if (torn.load()) break;
-    cell.publish(full_snapshot(builder, (i % 2 == 0) ? gb : ga), reg);
+    cell.publish(builder.publish((i % 2 == 0) ? gb : ga, {}, touched), reg);
   }
   done.store(true);
   for (std::thread& t : readers) t.join();
@@ -342,8 +618,38 @@ TEST(Rcu, ReadersNeverObserveTornState) {
   EXPECT_FALSE(torn.load());
   EXPECT_GT(reads.load(), 0u);
   // With every reader quiescent one more publish drains the retire list.
-  cell.publish(full_snapshot(builder, ga), reg);
+  cell.publish(builder.publish(ga, {}, touched), reg);
   EXPECT_EQ(cell.retired_count(), 0u);
+}
+
+TEST(Rcu, PinnedReaderKeepsItsVersionWhileEveryNodeIsReplaced) {
+  serve::ReaderRegistry reg(2);
+  serve::SnapshotCell cell;
+  serve::SnapshotBuilder builder;
+  PGraph g = wide_graph();
+  const PGraph g1 = g;
+  const std::vector<NodeId> ids = wide_ids();
+  cell.publish(builder.publish(g, {}, {}), reg);
+
+  std::vector<NodeId> dests;
+  std::vector<core::DirectedLink> touched;
+  {
+    serve::ReadPin pin(reg);
+    const PGraphSnapshot* held = cell.current();
+    for (NodeId round = 0; round < 8; ++round) {
+      churn_every_head(g, 5000 + round, dests, touched);
+      cell.publish(builder.publish(g, dests, touched), reg);
+    }
+    // Every node `held` reaches has been replaced, and nothing retired since
+    // the pin may be freed yet.
+    EXPECT_EQ(cell.retired_count(), 8u);
+    expect_frozen(*held, g1, ids);
+  }
+
+  // Unpinned: one publish drains the retire list.
+  cell.publish(builder.publish(g, {}, {}), reg);
+  EXPECT_EQ(cell.retired_count(), 0u);
+  expect_frozen(*cell.current(), g, ids);
 }
 
 // ----------------------------------------------------------------- k paths --
@@ -456,8 +762,7 @@ TEST(SelfDestination, UnifiedAcrossEveryEntryPoint) {
   EXPECT_EQ(r.path, Path{0});
 
   // Snapshot view + k paths.
-  serve::SnapshotBuilder builder(eval::SnapshotPolicy::kFull);
-  const auto snap = full_snapshot(builder, g);
+  const auto snap = from_scratch(g);
   Path p;
   EXPECT_EQ(core::query_path_over(*snap, core::PathQuery{0}, p),
             core::PathStatus::kFound);
@@ -524,7 +829,6 @@ TEST(QueryEngine, EvaluateQueriesBitIdenticalAcrossThreadCounts) {
   util::Rng rng(5);
   const topo::AsGraph g = topo::brite_like(16, 2, 4, rng);
   eval::ServeOptions opts;
-  opts.snapshot_policy = eval::SnapshotPolicy::kFull;
   QueryEngine engine(g.num_nodes(), opts);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     engine.publish(v, eval::build_node_pgraph(g, v), {}, {});
@@ -546,6 +850,47 @@ TEST(QueryEngine, EvaluateQueriesBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(t1.found, 0u);
 }
 
+/// Expects every answer the engine serves at `src` to match `live`, the
+/// P-graph of src's current protocol instance: the marks, DerivePath as the
+/// first path, and for k in {1, 2, 4} the k paths, `truncated` and the
+/// disjoint count enumerated over the live graph.
+void expect_engine_serves(const QueryEngine& engine, NodeId src,
+                          const PGraph& live, std::size_t num_nodes) {
+  const core::PGraphView view{&live};
+  for (NodeId dst = 0; dst < num_nodes; ++dst) {
+    for (const std::size_t k : {1u, 2u, 4u}) {
+      const QueryEngine::QueryResult qr = engine.query(src, dst, k);
+      if (dst == src) {
+        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kOk);
+        EXPECT_EQ(qr.paths, std::vector<Path>{Path{src}});
+        continue;
+      }
+      if (!live.is_destination(dst)) {
+        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kNotDestination)
+            << src << "->" << dst;
+        continue;
+      }
+      const core::PathResult derived =
+          core::query_path(live, core::PathQuery{dst});
+      const core::KPathResult kp = core::query_k_paths(view, dst, k);
+      EXPECT_EQ(qr.truncated, kp.truncated) << src << "->" << dst;
+      if (!derived.found()) {
+        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kUnreachable)
+            << src << "->" << dst;
+        EXPECT_TRUE(kp.paths.empty()) << src << "->" << dst;
+        continue;
+      }
+      EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kOk)
+          << src << "->" << dst;
+      ASSERT_FALSE(qr.paths.empty()) << src << "->" << dst;
+      EXPECT_EQ(qr.paths.front(), derived.path) << src << "->" << dst;
+      EXPECT_EQ(qr.paths, kp.paths) << src << "->" << dst << " k=" << k;
+      EXPECT_EQ(qr.disjoint, core::disjoint_path_count(view, dst))
+          << src << "->" << dst;
+    }
+  }
+}
+
 TEST(QueryEngine, ServesProtocolStateThroughTheSink) {
   // End-to-end: a Centaur run publishes through the sink; after convergence
   // every engine answer must match the owning node's live P-graph.
@@ -563,37 +908,67 @@ TEST(QueryEngine, ServesProtocolStateThroughTheSink) {
   const QueryEngine::PublishStats stats = engine.publish_stats();
   EXPECT_EQ(stats.cells_live, g.num_nodes());
   EXPECT_GT(stats.publishes, g.num_nodes());
+  EXPECT_EQ(stats.full_builds, g.num_nodes());
 
-  for (NodeId src = 0; src < g.num_nodes(); src += 3) {
-    const auto* node =
-        dynamic_cast<const core::CentaurNode*>(&run.network().node(src));
-    ASSERT_NE(node, nullptr);
-    const PGraph& live = node->local_pgraph();
-    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
-      const QueryEngine::QueryResult qr = engine.query(src, dst, 1);
-      if (dst == src) {
-        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kOk);
-        ASSERT_EQ(qr.paths.size(), 1u);
-        EXPECT_EQ(qr.paths[0], Path{src});
-        continue;
-      }
-      if (!live.is_destination(dst)) {
-        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kNotDestination)
-            << src << "->" << dst;
-        continue;
-      }
-      const auto derived = live.derive_path(dst);
-      if (derived.has_value()) {
-        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kOk)
-            << src << "->" << dst;
-        ASSERT_EQ(qr.paths.size(), 1u) << src << "->" << dst;
-        EXPECT_EQ(qr.paths[0], *derived) << src << "->" << dst;
-      } else {
-        EXPECT_EQ(qr.status, QueryEngine::QueryStatus::kUnreachable)
-            << src << "->" << dst;
-      }
+  for (NodeId src = 0; src < g.num_nodes(); ++src) {
+    const auto& node =
+        dynamic_cast<const core::CentaurNode&>(run.network().node(src));
+    expect_engine_serves(engine, src, node.local_pgraph(), g.num_nodes());
+  }
+}
+
+TEST(QueryEngine, RestartedNodeRepublishesFromScratch) {
+  // A crash/restart attaches a fresh protocol instance to the same engine
+  // cell, and its first publish must replace the whole snapshot.  Here a
+  // destination the crashed instance marked loses every link while the
+  // node is down; the restarted node must stop serving it.
+  util::Rng rng(11);
+  const topo::AsGraph g = topo::brite_like(20, 2, 4, rng);
+  QueryEngine engine(g.num_nodes(), eval::ServeOptions{});
+  eval::RunOptions run_opts;
+  run_opts.centaur_snapshot_sink = engine.make_sink();
+  util::Rng run_rng(12);
+  eval::ProtocolRun run(g, eval::Protocol::kCentaur, run_rng, run_opts);
+  const auto centaur = [&run](NodeId v) {
+    return dynamic_cast<const core::CentaurNode*>(&run.network().node(v));
+  };
+
+  // The crashing node x and a destination d it serves, not adjacent to x,
+  // so cutting d's links leaves the links x's crash takes down alone.
+  const NodeId x = 0;
+  NodeId d = 1;
+  while (d < g.num_nodes() &&
+         (g.has_link(x, d) ||
+          !centaur(x)->local_pgraph().is_destination(d))) {
+    ++d;
+  }
+  ASSERT_LT(d, g.num_nodes());
+  ASSERT_EQ(engine.query(x, d).status, QueryEngine::QueryStatus::kOk);
+
+  faults::FaultScript script;
+  script.phases.push_back({"crash", {faults::FaultAction::node_crash(x)}});
+  faults::FaultPhase cut{"cut", {}};
+  for (const topo::Neighbor& nb : g.neighbors(d)) {
+    cut.actions.push_back(faults::FaultAction::link_down(nb.link));
+  }
+  script.phases.push_back(cut);
+  script.phases.push_back({"restart", {faults::FaultAction::node_restart(x)}});
+  script.validate(run.graph());
+
+  faults::CampaignEngine campaign(run);
+  for (const faults::FaultPhase& phase : script.phases) {
+    SCOPED_TRACE(phase.name);
+    campaign.run_phase(script, phase);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const core::CentaurNode* node = centaur(v);
+      if (node == nullptr) continue;  // crashed: no live graph to match
+      expect_engine_serves(engine, v, node->local_pgraph(), g.num_nodes());
     }
   }
+  EXPECT_EQ(engine.query(x, d).status,
+            QueryEngine::QueryStatus::kNotDestination);
+  // One build from scratch per protocol instance that published.
+  EXPECT_EQ(engine.publish_stats().full_builds, g.num_nodes() + 1);
 }
 
 // ------------------------------------------------------------- ServeOptions --
@@ -603,22 +978,18 @@ TEST(ServeOptions, EnvParsingIsStrict) {
   {
     ScopedEnv k("CENTAUR_QUERY_K", "7");
     ScopedEnv t("CENTAUR_SERVE_THREADS", "2");
-    ScopedEnv p("CENTAUR_SNAPSHOT_POLICY", "full");
     const eval::ServeOptions opts = eval::serve_options_from_env();
     EXPECT_EQ(opts.query_k, 7u);
     EXPECT_EQ(opts.query_threads, 2u);
-    EXPECT_EQ(opts.snapshot_policy, eval::SnapshotPolicy::kFull);
   }
   {
     // Garbage falls back to the defaults (and warns once, not asserted
-    // here); enum matching is exact, so "FULL" is garbage.
+    // here).
     ScopedEnv k("CENTAUR_QUERY_K", "4x");
     ScopedEnv t("CENTAUR_SERVE_THREADS", "0");
-    ScopedEnv p("CENTAUR_SNAPSHOT_POLICY", "FULL");
     const eval::ServeOptions opts = eval::serve_options_from_env();
     EXPECT_EQ(opts.query_k, 4u);
     EXPECT_EQ(opts.query_threads, 1u);  // numeric but < 1 clamps to 1
-    EXPECT_EQ(opts.snapshot_policy, eval::SnapshotPolicy::kDelta);
   }
   util::reset_warn_once_for_testing();
 }

@@ -94,9 +94,6 @@ constexpr struct EnvVar {
      "bit-identical for any value"},
     {"CENTAUR_QUERY_K", "integer >= 1 (4)",
      "paths returned per query (canonical DerivePath result first)"},
-    {"CENTAUR_SNAPSHOT_POLICY", "delta|full (delta)",
-     "serving-plane snapshot publishing: delta-proportional overlays with "
-     "geometric collapse, or a full copy per publish (ablation)"},
     {"CENTAUR_LOG", "error|warn|info|debug (warn)",
      "library logging verbosity"},
 };
@@ -335,8 +332,8 @@ int cmd_routes(Options& opt) {
     }
     std::string path_text;
     for (const topo::NodeId hop : routes.path_from(vantage)) {
-      path_text += (path_text.empty() ? "" : " ") +
-                   std::to_string(t.node_to_as[hop]);
+      if (!path_text.empty()) path_text += ' ';
+      path_text += std::to_string(t.node_to_as[hop]);
     }
     table.row({std::to_string(t.node_to_as[dest]),
                policy::to_string(routes.at(vantage).source), path_text});
@@ -706,7 +703,6 @@ int cmd_querybench(Options& opt) {
 
   std::cout << "querybench: nodes=" << config.nodes << " query_threads="
             << config.serve.query_threads << " k=" << config.serve.query_k
-            << " snapshots=" << eval::to_string(config.serve.snapshot_policy)
             << "\n\n";
   const serve::QueryBenchResult result = serve::run_query_bench(config);
 

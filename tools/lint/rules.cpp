@@ -69,8 +69,7 @@ void run_token_rules(const LexedFile& f, std::vector<Finding>& out) {
       add(out, "E1", f, t,
           "raw " + s +
               " outside src/util/env.cpp: use the util/env strict parsers "
-              "(env_size_t / env_flag_strict / env_enum_strict / "
-              "env_string)");
+              "(env_size_t / env_flag_strict / env_string)");
     }
     if (src) {
       if (s == "random_device" || s == "system_clock") {

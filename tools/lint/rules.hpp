@@ -16,7 +16,7 @@
 //       into results; use util::FlatMap or a sorted util::SmallVec.
 //   E1  env hygiene                                  src/ tools/ tests/
 //       No raw getenv outside src/util/env.cpp; use the util/env strict
-//       parsers (env_size_t, env_flag_strict, env_enum_strict, env_string).
+//       parsers (env_size_t, env_flag_strict, env_string).
 //   R1  sanctioned randomness & time only            src/
 //       No rand()/srand()/std::random_device, no time()/clock()/
 //       gettimeofday()/std::chrono::system_clock: the sim clock and
