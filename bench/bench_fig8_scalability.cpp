@@ -4,10 +4,8 @@
 // protocols, and measures the update overhead per routing event; Centaur's
 // advantage over BGP widens with topology size because a BGP event fans out
 // per destination while a Centaur event stays per link.
-#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -145,109 +143,6 @@ int main(int argc, char** argv) {
               << "x)\n";
   }
 
-  // Intra-trial parallelism speedup (stdout + report notes — counters are
-  // bit-identical across thread counts by construction, so the JSON
-  // baseline is unchanged).  Per-phase serial vs 4-lane wall time on the
-  // largest Fig 8 topology:
-  //   * cold start + single-link flips are delivery-cascade dominated
-  //     (continuous link delays, so mostly singleton batches) — the honest
-  //     "no parallelism available" floor, included to show the batching
-  //     machinery costs ~nothing when there is nothing to overlap;
-  //   * the SRLG burst downs a quarter of the links at one simulated
-  //     instant, so the reconvergence opens with a wide same-instant batch
-  //     of per-node re-selections — the workload the parallel phase exists
-  //     for (paper-style regional failure / shared-risk group event).
-  {
-    const std::size_t n = params.fig8_max_nodes;
-    util::Rng topo_rng(params.seed ^ (0xF180 + steps - 1));
-    const topo::AsGraph g =
-        topo::brite_like(n, 2, std::max<std::size_t>(4, n / 40), topo_rng);
-    eval::RunOptions plain;  // analysis off: measure the engine, not checks
-
-    // Same burst set for both runs: every fourth link, spread across the
-    // whole id space.
-    std::vector<topo::LinkId> burst_links;
-    for (topo::LinkId l = 0; l < g.num_links(); l += 4) burst_links.push_back(l);
-
-    struct PhaseTimes {
-      double cold_s = 0;
-      double flips_s = 0;
-      double burst_s = 0;    // same-instant re-selection batch only
-      double cascade_s = 0;  // remaining delivery cascade to quiescence
-    };
-    // The Network constructor samples CENTAUR_INTRA_THREADS, so pin the
-    // lane count via the environment around each run.
-    const auto timed_run = [&](std::size_t intra) {
-      setenv("CENTAUR_INTRA_THREADS", std::to_string(intra).c_str(), 1);
-      util::Rng rng(params.seed ^ 0xF888);
-      const runner::Stopwatch cold_sw;
-      eval::ProtocolRun run(g, eval::Protocol::kCentaur, rng, plain);
-      PhaseTimes t;
-      t.cold_s = cold_sw.seconds();
-      util::Rng flip_rng(params.seed ^ 0xF889);
-      const runner::Stopwatch flip_sw;
-      for (std::size_t f = 0; f < flips; ++f) {
-        const auto link =
-            static_cast<topo::LinkId>(flip_rng.next() % g.num_links());
-        run.flip(link, false);
-        run.flip(link, true);
-      }
-      t.flips_s = flip_sw.seconds();
-      // The burst step is every per-node re-selection at the failure
-      // instant (on_link_change + same-instant flushes, one wide batch);
-      // run_until(now) drains exactly that, leaving the delayed deliveries
-      // queued for the cascade measurement.
-      sim::Simulator& s = run.network().simulator();
-      const runner::Stopwatch burst_sw;
-      for (const topo::LinkId l : burst_links) {
-        run.network().set_link_state(l, false);
-      }
-      s.run_until(s.now());
-      t.burst_s = burst_sw.seconds();
-      const runner::Stopwatch cascade_sw;
-      run.network().run_to_convergence();
-      t.cascade_s = cascade_sw.seconds();
-      return t;
-    };
-
-    const char* prev_intra = std::getenv("CENTAUR_INTRA_THREADS");
-    const std::string saved_intra = prev_intra != nullptr ? prev_intra : "";
-    const PhaseTimes serial = timed_run(1);
-    const PhaseTimes parallel = timed_run(4);
-    if (prev_intra != nullptr) {
-      setenv("CENTAUR_INTRA_THREADS", saved_intra.c_str(), 1);
-    } else {
-      unsetenv("CENTAUR_INTRA_THREADS");
-    }
-    const auto speedup = [](double s, double p) {
-      return s / std::max(p, 1e-9);
-    };
-    const auto line = [&](const char* name, double s, double p) {
-      std::cout << "  " << name << util::fmt_double(s * 1e3, 1) << " ms -> "
-                << util::fmt_double(p * 1e3, 1) << " ms ("
-                << util::fmt_double(speedup(s, p), 2) << "x)\n";
-    };
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::cout << "\nIntra-trial parallel speedup (n=" << n
-              << ", CENTAUR_INTRA_THREADS 1 vs 4, " << cores
-              << " host cores, identical results):\n";
-    line("cold-start phase:   ", serial.cold_s, parallel.cold_s);
-    line("link-flip phase:    ", serial.flips_s, parallel.flips_s);
-    line("SRLG re-selection:  ", serial.burst_s, parallel.burst_s);
-    line("SRLG cascade:       ", serial.cascade_s, parallel.cascade_s);
-    io.report.add_note(
-        "intra-trial speedup (1 vs 4 lanes, n=" + std::to_string(n) + ", " +
-        std::to_string(cores) + " host cores): cold-start " +
-        util::fmt_double(speedup(serial.cold_s, parallel.cold_s), 2) +
-        "x, link-flips " +
-        util::fmt_double(speedup(serial.flips_s, parallel.flips_s), 2) +
-        "x, srlg re-selection (" + std::to_string(burst_links.size()) +
-        " links at one instant) " +
-        util::fmt_double(speedup(serial.burst_s, parallel.burst_s), 2) +
-        "x, srlg cascade " +
-        util::fmt_double(speedup(serial.cascade_s, parallel.cascade_s), 2) +
-        "x");
-  }
   io.report.write();
   return 0;
 }

@@ -224,9 +224,7 @@ void BgpNode::enqueue_or_send(NodeId neighbor, NodeId dest) {
 
 void BgpNode::arm_mrai(NodeId neighbor) {
   mrai_armed_[neighbor] = true;
-  // Tagged with self(): the timer only touches this node's MRAI state (its
-  // sends defer through the network when the batch executor is parallel).
-  net().simulator().schedule_tagged(config_.mrai, self(), [this, neighbor] {
+  net().simulator().schedule(config_.mrai, [this, neighbor] {
     mrai_armed_[neighbor] = false;
     if (!pending_[neighbor].empty() && neighbor_usable(neighbor)) {
       flush_pending(neighbor);

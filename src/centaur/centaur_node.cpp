@@ -364,9 +364,7 @@ void CentaurNode::flood() {
   if (config_.snapshot_sink &&
       (!changed_dests_.empty() || !touched_links_.empty())) {
     // Serving-plane publish (DESIGN.md §14.2): hand the dirty sets to the
-    // snapshot sink before any flood branch consumes or clears them.  Runs
-    // in handler context — the sink writes only this node's single-writer
-    // snapshot cell, so lane-parallel floods stay race-free.  This
+    // snapshot sink before any flood branch consumes or clears them.  This
     // instance's first publish hands over no delta: the cell may still hold
     // a crashed predecessor's snapshot, which the whole graph replaces.
     if (published_) {
@@ -482,9 +480,8 @@ void CentaurNode::send_update(NodeId neighbor,
   outbox_flush_scheduled_ = true;
   // Zero-delay, like the coalescing flush: the batch leaves within the same
   // instant its members were emitted, so link delays (and thus arrival
-  // times) are unchanged; tagged with self() because it only touches this
-  // node's outbox.
-  net().simulator().schedule_tagged(0, self(), [this] { flush_outbox(); });
+  // times) are unchanged.
+  net().simulator().schedule(0, [this] { flush_outbox(); });
 }
 
 void CentaurNode::flush_outbox() {
@@ -512,10 +509,8 @@ void CentaurNode::dispatch_updates() {
   flush_scheduled_ = true;
   // Zero-delay: runs within the current instant's burst, after every event
   // already queued for it — deltas from same-instant floods merge, link
-  // delays still start from the same simulated time.  Tagged with self():
-  // the flush only reads/writes this node's pending deltas, so it can
-  // batch-execute alongside other nodes' same-instant work.
-  net().simulator().schedule_tagged(0, self(), [this] {
+  // delays still start from the same simulated time.
+  net().simulator().schedule(0, [this] {
     flush_scheduled_ = false;
     flush_pending();
   });

@@ -53,9 +53,8 @@ struct RouteAuditConfig {
 
 /// Route-audit results for the current audit window.  Everything here is a
 /// pure function of the deterministic event stream: `events_observed`
-/// counts analyzer node-checks (one per hook replay / sweep entry), which
-/// are replayed in event order under intra-trial parallelism — unlike the
-/// simulator's raw event counter, which advances batch-at-once.
+/// counts analyzer node-checks (one per event-hook call and one per sweep
+/// entry), not simulator events.
 struct RouteAuditReport {
   std::size_t routes_checked = 0;
   std::size_t leaked = 0;       ///< valley-violating selected routes seen

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "eval/adversary.hpp"
-#include "runner/bench_report.hpp"
 #include "util/rng.hpp"
 
 namespace centaur::faults {
@@ -113,7 +112,6 @@ PhaseReport CampaignEngine::run_phase(const FaultScript& script,
   sim::Network& net = run_.network();
   check::Analyzer* analyzer = run_.analyzer();
   const std::size_t violations_before = violations_now();
-  const runner::Stopwatch wall;
   net.mark();
   if (adversarial_ && analyzer != nullptr) analyzer->begin_audit_window();
   const sim::Time start = net.simulator().now();
@@ -155,7 +153,6 @@ PhaseReport CampaignEngine::run_phase(const FaultScript& script,
   }
   events_seen_ = net.events_executed();
   result_.phases.push_back(report);
-  result_.phase_wall_s.push_back(wall.seconds());
   return report;
 }
 
@@ -339,13 +336,10 @@ CampaignResult run_scenario(const ScenarioSpec& spec) {
 CampaignResult run_scenario(const topo::AsGraph& graph,
                             const ScenarioSpec& spec) {
   util::Rng rng(spec.seed);
-  const runner::Stopwatch cold_wall;
   eval::ProtocolRun run(graph, spec.protocol, rng, spec.options);
-  const double cold_wall_s = cold_wall.seconds();
   CampaignEngine engine(run);
   CampaignResult result = engine.run(spec.script);
   result.scenario = spec.name;
-  result.cold_start_wall_s = cold_wall_s;
   return result;
 }
 

@@ -78,13 +78,6 @@ struct CampaignResult {
   std::size_t total_bytes = 0;
   /// Final analyzer report (empty/clean when analysis is off).
   check::AnalysisReport analysis;
-  /// Host wall time per scripted phase (parallel to `phases`), plus the
-  /// cold start when run_scenario built the run itself.  Diagnostic only:
-  /// machine-dependent, so excluded from PhaseReport equality and from the
-  /// bit-identity contract (DESIGN.md §8); the campaign bench uses it to
-  /// report serial-vs-parallel speedup per phase.
-  double cold_start_wall_s = 0;
-  std::vector<double> phase_wall_s;
 
   bool clean() const { return analysis.violations_seen == 0; }
   sim::Time max_phase_convergence() const;

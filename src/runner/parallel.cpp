@@ -10,15 +10,6 @@ std::size_t threads_from_env() {
   return util::env_size_t("CENTAUR_THREADS", fallback, /*min_value=*/1);
 }
 
-std::size_t intra_threads_from_env() {
-  return util::env_size_t("CENTAUR_INTRA_THREADS", /*fallback=*/1,
-                          /*min_value=*/1);
-}
-
-std::size_t shards_from_env() {
-  return util::env_size_t("CENTAUR_SHARDS", /*fallback=*/1, /*min_value=*/1);
-}
-
 WorkerPool::WorkerPool(std::size_t threads) {
   if (threads <= 1) return;
   workers_.reserve(threads - 1);

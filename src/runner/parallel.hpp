@@ -1,6 +1,5 @@
-// Parallel execution primitives (DESIGN.md §5.3, §8).
-//
-// Two layers of parallelism, both bit-identical to serial by construction:
+// Parallel execution primitives (DESIGN.md §5.3).  A simulation itself is
+// serial; these run independent work beside it.
 //
 //  * run_trials — benches fan independent trials (one protocol run, one
 //    topology size, one ablation arm) across a transient thread pool.
@@ -10,12 +9,12 @@
 //    results after the join).  Under that contract results are collected by
 //    index and the output is bit-identical for any thread count, including 1.
 //
-//  * WorkerPool / parallel_for_deterministic — a persistent pool used
-//    *inside* one trial by the simulator's same-instant batch executor
-//    (sim::Simulator, DESIGN.md §8).  parallel_for_deterministic is a
-//    barrier primitive: it distributes body(0..count-1) over the workers
-//    plus the calling thread and returns only when every index completed,
-//    with a full happens-before edge between the bodies and the caller.
+//  * WorkerPool / parallel_for_deterministic — a persistent pool, used by
+//    the serving plane's query lanes (serve/query_bench).
+//    parallel_for_deterministic is a barrier primitive: it distributes
+//    body(0..count-1) over the workers plus the calling thread and returns
+//    only when every index completed, with a full happens-before edge
+//    between the bodies and the caller.
 #pragma once
 
 #include <atomic>
@@ -37,20 +36,6 @@ namespace centaur::runner {
 /// parse, clamped to >= 1, garbage warns once and is ignored), else the
 /// hardware concurrency, else 1.
 std::size_t threads_from_env();
-
-/// Intra-trial worker count for the simulator's same-instant batch executor:
-/// CENTAUR_INTRA_THREADS if set and valid (strict parse, clamped to >= 1,
-/// garbage warns once and is ignored), else 1.  Unlike CENTAUR_THREADS the
-/// default is serial: intra-trial parallelism is opt-in because singleton
-/// batches dominate small runs.
-std::size_t intra_threads_from_env();
-
-/// Topology shard count for the sharded event plane (DESIGN.md §13):
-/// CENTAUR_SHARDS if set and valid (strict parse, clamped to >= 1, garbage
-/// warns once and is ignored), else 1 (unsharded).  The Network constructor
-/// samples it and partitions the AS graph into that many contiguous node
-/// ranges; any value is bit-identical to the unsharded run.
-std::size_t shards_from_env();
 
 /// Thrown by run_trials when a trial fails.  Carries which trial threw
 /// first (lowest index among trials that ran and failed — the index a
@@ -87,8 +72,8 @@ class TrialFailure : public std::runtime_error {
 /// last worker of every parallel_for_deterministic call); `threads <= 1`
 /// spawns nothing and parallel_for_deterministic degenerates to an inline
 /// serial loop.  The pool is reusable across any number of sections but a
-/// single section may be in flight at a time (one owner — the simulator
-/// batch executor runs sections strictly sequentially).
+/// single section may be in flight at a time (one owner, which runs
+/// sections strictly sequentially).
 class WorkerPool {
  public:
   explicit WorkerPool(std::size_t threads);

@@ -3,18 +3,19 @@
 // One QueryEngine serves (src, dst, k) path queries against per-node
 // PGraphSnapshots while the protocol keeps running.  Concurrency design:
 //
-//   * Writers (protocol handlers): each CentaurNode publishes through its
-//     own cell — single-writer by construction, so publishes from
-//     lane-parallel floods never contend.  A publish builds the immutable
+//   * Writer (the simulator thread): each CentaurNode publishes through its
+//     own cell from its protocol handlers, and every handler runs on the
+//     thread that runs the simulation.  A publish builds the immutable
 //     successor snapshot, swaps one raw atomic pointer, and retires the
 //     predecessor; it never blocks and never takes a lock, so serving
 //     cannot stall convergence.
-//   * Readers (query threads): zero locks and zero reference-count traffic
-//     on the read path.  A reader pins the current epoch in a private slot
-//     (one CAS + one store), loads the cell pointer, walks the immutable
-//     snapshot, and unpins.  `std::atomic<shared_ptr>` would silently fall
-//     back to a spinlock pool in libstdc++ — the hand-rolled epoch scheme
-//     is what makes "readers never take a lock" literally true.
+//   * Readers (query threads), the only concurrency: zero locks and zero
+//     reference-count traffic on the read path.  A reader pins the current
+//     epoch in a private slot (one CAS + one store), loads the cell
+//     pointer, walks the immutable snapshot, and unpins.
+//     `std::atomic<shared_ptr>` would silently fall back to a spinlock pool
+//     in libstdc++ — the hand-rolled epoch scheme is what makes "readers
+//     never take a lock" literally true.
 //
 // Reclamation: retiring writers tag the old snapshot with the pre-bump
 // epoch E and free retired snapshots whose E is below every pinned slot
@@ -25,12 +26,11 @@
 // reader obtained pointer P, its slot held an epoch value <= P's retire
 // epoch when any scan that could free P ran, so P is retained.
 //
-// Ordering vs the §8 commit barrier: publishes happen in handler context,
-// so *within one simulated instant* readers may observe node A post-delta
-// and node B pre-delta — per-cell monotonic consistency, not cross-node
-// atomicity (queries read one cell).  Each cell's snapshot sequence is
-// deterministic: content and version depend only on the event history,
-// never on lane interleaving.
+// Ordering: publishes happen in handler context, so *within one simulated
+// instant* readers may observe node A post-delta and node B pre-delta —
+// per-cell monotonic consistency, not cross-node atomicity (queries read
+// one cell).  Each cell's snapshot sequence is deterministic: content and
+// version depend only on the event history.
 #pragma once
 
 #include <atomic>

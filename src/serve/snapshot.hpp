@@ -35,8 +35,7 @@
 //
 // Thread model: a snapshot is immutable to readers and safe to read from
 // any thread; SnapshotBuilder is single-writer per node (the owning
-// CentaurNode's handler lane — per-node cells is what makes lane-parallel
-// floods race-free, DESIGN.md §14.2).
+// CentaurNode's handlers, on the simulator thread, DESIGN.md §14.2).
 #pragma once
 
 #include <algorithm>

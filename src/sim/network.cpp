@@ -3,9 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runner/parallel.hpp"
-#include "topology/partition.hpp"
-
 namespace centaur::sim {
 
 Network::Network(AsGraph& graph, util::Rng& rng, Time min_delay,
@@ -15,22 +12,10 @@ Network::Network(AsGraph& graph, util::Rng& rng, Time min_delay,
   for (LinkId l = 0; l < graph.num_links(); ++l) {
     delays_.push_back(rng.uniform(min_delay, max_delay));
   }
-  // Sharded event plane (DESIGN.md §13): partition the AS graph into
-  // CENTAUR_SHARDS contiguous node ranges and give each its own event
-  // queue.  Must happen before anything is scheduled; any shard count is
-  // bit-identical to the unsharded run.
-  const std::size_t shards = runner::shards_from_env();
-  if (shards > 1 && graph.num_nodes() > 0) {
-    topo::Partition part = topo::partition_contiguous(graph, shards);
-    if (part.num_shards > 1) {
-      sim_.set_shards(part.num_shards, std::move(part.shard_of_node));
-    }
-  }
   // Flooding protocols keep roughly O(links) deliveries in flight during
   // initialization; pre-sizing the event heap avoids its growth
   // reallocations on the hot path.
   sim_.reserve(2 * graph.num_links() + 16);
-  sim_.set_intra_threads(runner::intra_threads_from_env());
 }
 
 void Network::attach(NodeId id, std::unique_ptr<Node> node) {
@@ -52,92 +37,35 @@ std::size_t Network::start_all_and_converge() {
   return run_to_convergence();
 }
 
-void Network::note_drop() {
-  if (in_parallel_phase()) {
-    defer_commit_op([this] { ++window_.messages_dropped; });
-    return;
-  }
-  ++window_.messages_dropped;
-}
-
-void Network::note_delivery() {
-  // now_ is frozen for the duration of a batch, so reading it from a worker
-  // lane is race-free and equals the value the commit op must record.
-  const Time at = sim_.now();
-  if (in_parallel_phase()) {
-    defer_commit_op([this, at] {
-      ++window_.messages_delivered;
-      window_.last_delivery = at;
-    });
-    return;
-  }
-  ++window_.messages_delivered;
-  window_.last_delivery = at;
-}
+void Network::note_drop() { ++window_.messages_dropped; }
 
 void Network::notify_event_hook(NodeId id) {
-  if (!event_hook_) return;
-  if (in_parallel_phase()) {
-    defer_commit_op([this, id] {
-      if (event_hook_) event_hook_(id);
-    });
-    return;
-  }
-  event_hook_(id);
+  if (event_hook_) event_hook_(id);
 }
 
 void Network::send(NodeId from, NodeId to, MessagePtr msg) {
-  if (in_parallel_phase() && !in_sharded_lane()) {
-    // Unsharded worker lane: counters and event-queue insertion are shared
-    // state — replay the whole send at the commit barrier, in the sending
-    // event's seq position.  Link state cannot change within a batch
-    // (set_link_state is driver-side), so the deferred send sees the same
-    // topology the caller did.
-    defer_commit_op([this, from, to, msg = std::move(msg)]() mutable {
-      send(from, to, std::move(msg));
-    });
-    return;
-  }
-  // Serial, or a sharded lane.  In a sharded lane the reads below are all
-  // batch-frozen (topology and link state only change through driver
-  // events, delays are fixed at construction), counters defer to the commit
-  // barrier, and the delivery schedule is issued in-lane so a cross-shard
-  // send rides — and is counted on — the (src, dst) shard channel.  The
-  // deferred-counter op precedes the schedule in the event's op stream,
-  // preserving the serial interleaving.
   const auto link = graph_.find_link(from, to);
   if (!link) throw std::invalid_argument("Network::send: not adjacent");
   const std::size_t bytes = msg->byte_size();
-  if (in_sharded_lane()) {
-    defer_commit_op([this, bytes] {
-      ++window_.messages_sent;
-      window_.bytes_sent += bytes;
-      ++total_messages_;
-      total_bytes_ += bytes;
-    });
-  } else {
-    ++window_.messages_sent;
-    window_.bytes_sent += bytes;
-    ++total_messages_;
-    total_bytes_ += bytes;
-  }
+  ++window_.messages_sent;
+  window_.bytes_sent += bytes;
+  ++total_messages_;
+  total_bytes_ += bytes;
   if (!graph_.link_up(*link)) {
     note_drop();
     return;
   }
   const LinkId l = *link;
-  // Delivery only touches the receiver's state (plus deferred counters), so
-  // it is tagged with `to` and eligible for same-instant batching.
-  sim_.schedule_tagged(delays_.at(l), to,
-                       [this, from, to, l, msg = std::move(msg)] {
-                         if (!graph_.link_up(l)) {
-                           note_drop();
-                           return;
-                         }
-                         note_delivery();
-                         nodes_.at(to)->on_message(from, msg);
-                         notify_event_hook(to);
-                       });
+  sim_.schedule(delays_.at(l), [this, from, to, l, msg = std::move(msg)] {
+    if (!graph_.link_up(l)) {
+      note_drop();
+      return;
+    }
+    ++window_.messages_delivered;
+    window_.last_delivery = sim_.now();
+    nodes_.at(to)->on_message(from, msg);
+    notify_event_hook(to);
+  });
 }
 
 void Network::set_link_state(LinkId link, bool up) {
@@ -145,15 +73,14 @@ void Network::set_link_state(LinkId link, bool up) {
   if (graph_.link_up(link) == up) return;
   graph_.set_link_up(link, up);
   // Notify the endpoints via the event queue so that reactions are ordered
-  // with in-flight messages.  Each endpoint gets its own node-tagged event
-  // (rather than one event touching both) so that the notification storm of
-  // a partition or flap burst can batch-execute; with intra-threads == 1
-  // the two events still run back-to-back in seq order.
-  sim_.schedule_tagged(0, l.a, [this, a = l.a, b = l.b, up] {
+  // with in-flight messages.  Each endpoint gets its own zero-delay event;
+  // the two run back-to-back in seq order, and the event count every bench
+  // reports counts both.
+  sim_.schedule(0, [this, a = l.a, b = l.b, up] {
     nodes_.at(a)->on_link_change(b, up);
     notify_event_hook(a);
   });
-  sim_.schedule_tagged(0, l.b, [this, a = l.a, b = l.b, up] {
+  sim_.schedule(0, [this, a = l.a, b = l.b, up] {
     nodes_.at(b)->on_link_change(a, up);
     notify_event_hook(b);
   });

@@ -93,10 +93,8 @@ class Network {
   void send(NodeId from, NodeId to, MessagePtr msg);
 
   /// Changes a link's state now and notifies each endpoint through its own
-  /// zero-delay event (two events per flip, node-tagged so same-instant
-  /// notification bursts can batch-execute), then (caller) typically runs to
-  /// convergence.  Driver-side only: must not be called from inside a node
-  /// callback executing in a parallel batch.
+  /// zero-delay event (two events per flip), then (caller) typically runs
+  /// to convergence.
   void set_link_state(LinkId link, bool up);
 
   /// Runs the simulator until quiescence; returns events processed.
@@ -127,19 +125,13 @@ class Network {
   /// processes an event (message delivery or link-change notification), so
   /// an observer can validate its state at every event boundary.  One hook
   /// at a time; pass nullptr to detach.  Hooks must not send messages or
-  /// mutate protocol state.  Under intra-trial parallelism the invocation is
-  /// deferred to the batch's commit barrier and replayed on the simulator
-  /// thread in event order, so the hook always observes fully committed
-  /// node states and never runs concurrently with itself.
+  /// mutate protocol state.
   void set_event_hook(std::function<void(NodeId)> hook) {
     event_hook_ = std::move(hook);
   }
 
  private:
-  // Shared-side-effect helpers: immediate when serial, deferred to the
-  // commit barrier when called from a parallel compute lane.
   void note_drop();
-  void note_delivery();
   void notify_event_hook(NodeId id);
 
   AsGraph& graph_;

@@ -2,137 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "runner/parallel.hpp"
-
 namespace centaur::sim {
-
-namespace {
-
-/// Commit queue of the batch event the calling thread is executing, or
-/// nullptr outside the parallel compute phase (unsharded plane).
-thread_local std::vector<util::UniqueFunction>* t_commit_queue = nullptr;
-
-/// Sharded-plane lane context: which shard this lane owns and which event
-/// (seq) it is executing, with the per-event op counter that orders the
-/// event's deferred side effects.  nullptr outside a sharded lane.
-struct LaneCtx {
-  Simulator* sim = nullptr;
-  std::uint32_t shard = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t op = 0;
-};
-thread_local LaneCtx* t_lane_ctx = nullptr;
-
-}  // namespace
-
-bool in_parallel_phase() {
-  return t_commit_queue != nullptr || t_lane_ctx != nullptr;
-}
-
-bool in_sharded_lane() { return t_lane_ctx != nullptr; }
-
-void defer_commit_op(util::UniqueFunction op) {
-  if (t_lane_ctx != nullptr) {
-    // Sharded lane: ops stream into the shard's queue stamped with the
-    // (event seq, op index) replay key — per-shard streams are already in
-    // that order because one lane executes a shard's events sequentially.
-    LaneCtx& ctx = *t_lane_ctx;
-    ctx.sim->shard_ops_[ctx.shard].push_back(
-        Simulator::OpEntry{ctx.seq, ctx.op++, std::move(op)});
-    return;
-  }
-  if (t_commit_queue == nullptr) {
-    throw std::logic_error(
-        "defer_commit_op: called outside a parallel compute phase");
-  }
-  t_commit_queue->push_back(std::move(op));
-}
-
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
 
 void Simulator::schedule(Time delay, util::UniqueFunction fn) {
   if (delay < 0) throw std::invalid_argument("Simulator::schedule: delay < 0");
-  schedule_at_tagged(now_ + delay, kUntagged, std::move(fn));
+  push(now_ + delay, std::move(fn));
 }
 
 void Simulator::schedule_at(Time when, util::UniqueFunction fn) {
-  schedule_at_tagged(when, kUntagged, std::move(fn));
-}
-
-void Simulator::schedule_tagged(Time delay, std::uint32_t node,
-                                util::UniqueFunction fn) {
-  if (delay < 0) throw std::invalid_argument("Simulator::schedule: delay < 0");
-  schedule_at_tagged(now_ + delay, node, std::move(fn));
-}
-
-void Simulator::schedule_at_tagged(Time when, std::uint32_t node,
-                                   util::UniqueFunction fn) {
   if (when < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
-  if (t_lane_ctx != nullptr) {
-    // Sharded lane: a schedule targeting another shard rides the (src, dst)
-    // channel; a same-shard or untagged schedule defers like any other
-    // shared side effect.  Both streams replay merged by (event seq, op
-    // index) at the barrier, on the simulator thread, so the seq each
-    // insert receives is exactly the serial assignment.
-    LaneCtx& ctx = *t_lane_ctx;
-    const std::uint32_t dst = node == kUntagged ? ctx.shard : shard_of(node);
-    if (dst != ctx.shard) {
-      const std::size_t c = ctx.shard * num_shards_ + dst;
-      ++channel_total_[c];
-      channels_[c].push_back(
-          ChannelEntry{ctx.seq, ctx.op++, when, node, std::move(fn)});
-      return;
-    }
-    defer_commit_op([this, when, node, f = std::move(fn)]() mutable {
-      schedule_at_tagged(when, node, std::move(f));
-    });
-    return;
-  }
-  if (in_parallel_phase()) {
-    // Worker lane: queue insertion is a shared side effect — defer it to
-    // the commit barrier, where it re-enters this function on the simulator
-    // thread.  Replay happens in event seq order, so the seq this insert
-    // receives is exactly the seq a serial execution would have assigned.
-    defer_commit_op([this, when, node, f = std::move(fn)]() mutable {
-      schedule_at_tagged(when, node, std::move(f));
-    });
-    return;
-  }
-  if (num_shards_ > 1) {
-    if (node == kUntagged) {
-      queue_push(driverq_, when, node, std::move(fn));
-      return;
-    }
-    const std::uint32_t dst = shard_of(node);
-    if (current_shard_ != kUntagged && dst != current_shard_) {
-      // Serial (or inline-batch) execution of a shard event scheduling into
-      // another shard: account the channel crossing so the counts match the
-      // lane path bit for bit on every lane count.
-      ++channel_total_[current_shard_ * num_shards_ + dst];
-    }
-    queue_push(shardq_[dst], when, node, std::move(fn));
-    return;
-  }
+  push(when, std::move(fn));
+}
+
+void Simulator::push(Time when, util::UniqueFunction fn) {
   if (when == now_) {
     // Same-time burst: FIFO order is seq order (seq grows monotonically and
     // every same-time event still in the heap was scheduled earlier, while
     // now_ was smaller, so it carries a smaller seq).
-    burst_.push_back(Event{when, next_seq_++, node, std::move(fn)});
+    burst_.push_back(Event{when, next_seq_++, std::move(fn)});
     return;
   }
-  heap_push(when, node, std::move(fn));
+  heap_push(when, std::move(fn));
 }
 
-void Simulator::heap_push(Time when, std::uint32_t node,
-                          util::UniqueFunction fn) {
+void Simulator::heap_push(Time when, util::UniqueFunction fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -142,7 +40,7 @@ void Simulator::heap_push(Time when, std::uint32_t node,
     slot = static_cast<std::uint32_t>(heap_fns_.size());
     heap_fns_.push_back(std::move(fn));
   }
-  heap_.push_back(HeapItem{when, next_seq_++, node, slot});
+  heap_.push_back(HeapItem{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -152,429 +50,11 @@ void Simulator::heap_pop_into(Event& out) {
   heap_.pop_back();
   out.at = item.at;
   out.seq = item.seq;
-  out.node = item.node;
   out.fn = std::move(heap_fns_[item.slot]);
   free_slots_.push_back(item.slot);
 }
 
-void Simulator::set_intra_threads(std::size_t threads) {
-  const std::size_t want = threads < 1 ? 1 : threads;
-  if (want == intra_threads_) return;
-  intra_threads_ = want;
-  pool_.reset();  // re-created lazily at the next parallel batch
-}
-
-void Simulator::set_shards(std::size_t count,
-                           std::vector<std::uint32_t> shard_of_node) {
-  if (next_seq_ != 0 || executed_ != 0 || !idle()) {
-    throw std::logic_error(
-        "Simulator::set_shards: shard plane must be chosen before any event "
-        "is scheduled or executed");
-  }
-  const std::size_t want = count < 1 ? 1 : count;
-  if (want == 1) {
-    num_shards_ = 1;
-    shard_of_.clear();
-    shardq_.clear();
-    return;
-  }
-  for (const std::uint32_t s : shard_of_node) {
-    if (s >= want) {
-      throw std::invalid_argument("Simulator::set_shards: shard id >= count");
-    }
-  }
-  num_shards_ = want;
-  shard_of_ = std::move(shard_of_node);
-  shardq_.clear();
-  shardq_.resize(want);
-  driverq_ = ShardQueue{};
-  shard_ops_.clear();
-  shard_ops_.resize(want);
-  channels_.clear();
-  channels_.resize(want * want);
-  shard_ops_head_.assign(want, 0);
-  channels_head_.assign(want * want, 0);
-  channel_total_.assign(want * want, 0);
-  shard_stats_.assign(want, ShardStats{});
-  shard_errors_.assign(want, {0, nullptr});
-}
-
-std::uint32_t Simulator::shard_of(std::uint32_t node) const {
-  if (node >= shard_of_.size()) {
-    throw std::out_of_range("Simulator: node tag outside the shard map");
-  }
-  return shard_of_[node];
-}
-
-bool Simulator::sharded_idle() const {
-  if (!driverq_.empty()) return false;
-  for (const ShardQueue& q : shardq_) {
-    if (!q.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t Simulator::sharded_pending() const {
-  std::size_t total = driverq_.size();
-  for (const ShardQueue& q : shardq_) total += q.size();
-  return total;
-}
-
-void Simulator::queue_push(ShardQueue& q, Time when, std::uint32_t node,
-                           util::UniqueFunction fn) {
-  if (when == now_) {
-    // Same burst invariant as the unsharded plane: every same-time event
-    // still in any heap carries a smaller seq, so per-queue FIFO order is
-    // seq order.
-    q.burst.push_back(Event{when, next_seq_++, node, std::move(fn)});
-    return;
-  }
-  std::uint32_t slot;
-  if (!q.free_slots.empty()) {
-    slot = q.free_slots.back();
-    q.free_slots.pop_back();
-    q.fns[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(q.fns.size());
-    q.fns.push_back(std::move(fn));
-  }
-  q.heap.push_back(HeapItem{when, next_seq_++, node, slot});
-  std::push_heap(q.heap.begin(), q.heap.end(), Later{});
-}
-
-void Simulator::queue_pop_into(ShardQueue& q, Event& out) {
-  const bool burst_ready = q.burst_head < q.burst.size();
-  bool take_heap = !q.heap.empty();
-  if (take_heap && burst_ready) {
-    const HeapItem& h = q.heap.front();
-    const Event& b = q.burst[q.burst_head];
-    take_heap = h.at < b.at || (h.at == b.at && h.seq < b.seq);
-  }
-  if (take_heap) {
-    std::pop_heap(q.heap.begin(), q.heap.end(), Later{});
-    const HeapItem item = q.heap.back();
-    q.heap.pop_back();
-    out.at = item.at;
-    out.seq = item.seq;
-    out.node = item.node;
-    out.fn = std::move(q.fns[item.slot]);
-    q.free_slots.push_back(item.slot);
-    return;
-  }
-  out = std::move(q.burst[q.burst_head++]);
-  if (q.burst_head >= q.burst.size()) {
-    q.burst.clear();
-    q.burst_head = 0;
-  }
-}
-
-bool Simulator::queue_next_key(const ShardQueue& q, Time& at,
-                               std::uint64_t& seq) {
-  bool have = false;
-  if (!q.heap.empty()) {
-    at = q.heap.front().at;
-    seq = q.heap.front().seq;
-    have = true;
-  }
-  if (q.burst_head < q.burst.size()) {
-    const Event& b = q.burst[q.burst_head];
-    if (!have || b.at < at || (b.at == at && b.seq < seq)) {
-      at = b.at;
-      seq = b.seq;
-    }
-    have = true;
-  }
-  return have;
-}
-
-std::uint32_t Simulator::sharded_pop_next(Event& out) {
-  ShardQueue* best = nullptr;
-  std::uint32_t best_shard = kUntagged;
-  Time best_at = 0;
-  std::uint64_t best_seq = 0;
-  const auto consider = [&](ShardQueue& q, std::uint32_t shard) {
-    Time at;
-    std::uint64_t seq;
-    if (!queue_next_key(q, at, seq)) return;
-    if (best == nullptr || at < best_at || (at == best_at && seq < best_seq)) {
-      best = &q;
-      best_shard = shard;
-      best_at = at;
-      best_seq = seq;
-    }
-  };
-  consider(driverq_, kUntagged);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    consider(shardq_[s], static_cast<std::uint32_t>(s));
-  }
-  assert(best != nullptr);
-  queue_pop_into(*best, out);
-  return best_shard;
-}
-
-void Simulator::sharded_collect_batch(std::size_t limit,
-                                      std::vector<Event>& batch) {
-  batch.clear();
-  // Batch timestamp: the global minimum event time across every queue.
-  Time t = 0;
-  bool have = false;
-  const auto consider_time = [&](const ShardQueue& q) {
-    Time at;
-    std::uint64_t seq;
-    if (queue_next_key(q, at, seq) && (!have || at < t)) {
-      t = at;
-      have = true;
-    }
-  };
-  consider_time(driverq_);
-  for (const ShardQueue& q : shardq_) consider_time(q);
-  assert(have);
-  // Untagged events are barriers: the batch may only take shard events
-  // whose seq precedes the first same-time driver event.
-  std::uint64_t barrier = std::numeric_limits<std::uint64_t>::max();
-  {
-    Time at;
-    std::uint64_t seq;
-    if (queue_next_key(driverq_, at, seq) && at == t) barrier = seq;
-  }
-  // Pop shard events at time t in global seq order (S-way min scan); the
-  // resulting batch is exactly the run the unsharded plane would collect.
-  while (batch.size() < limit) {
-    ShardQueue* best = nullptr;
-    Time best_at = 0;
-    std::uint64_t best_seq = 0;
-    for (ShardQueue& q : shardq_) {
-      Time at;
-      std::uint64_t seq;
-      if (!queue_next_key(q, at, seq)) continue;
-      if (best == nullptr || at < best_at ||
-          (at == best_at && seq < best_seq)) {
-        best = &q;
-        best_at = at;
-        best_seq = seq;
-      }
-    }
-    if (best == nullptr || best_at != t || best_seq >= barrier) break;
-    batch.emplace_back();
-    queue_pop_into(*best, batch.back());
-  }
-}
-
-void Simulator::sharded_execute_batch(std::vector<Event>& batch) {
-  // Inline execution helper for the fast paths below: immediate side
-  // effects on the simulator thread, with the executing shard recorded so
-  // cross-shard schedules hit the channel accounting.
-  const auto run_inline = [&](Event& ev) {
-    const std::uint32_t s = shard_of(ev.node);
-    current_shard_ = s;
-    try {
-      ev.fn();
-    } catch (...) {
-      current_shard_ = kUntagged;
-      throw;
-    }
-    current_shard_ = kUntagged;
-    ev.fn.reset();
-    ++shard_stats_[s].events;
-  };
-  if (batch.size() == 1) {
-    run_inline(batch[0]);
-    return;
-  }
-
-  // Partition event indices by shard; within a shard, seq order (== batch
-  // order) is preserved, so one lane executes a shard's events exactly in
-  // the order a serial run would.
-  auto& keyed = keyed_;
-  keyed.clear();
-  keyed.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    keyed.emplace_back(shard_of(batch[i].node), i);
-  }
-  std::sort(keyed.begin(), keyed.end());
-  auto& groups = groups_;  // [begin, end) runs of one shard's events
-  groups.clear();
-  for (std::size_t i = 0; i < keyed.size();) {
-    std::size_t j = i + 1;
-    while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
-    groups.emplace_back(i, j);
-    i = j;
-  }
-
-  if (groups.size() < 2 || intra_threads_ <= 1) {
-    // One shard (or serial lanes): nothing to overlap — run in seq order
-    // with immediate effects, exactly the serial sharded path.
-    for (Event& ev : batch) run_inline(ev);
-    return;
-  }
-
-  if (!pool_) pool_ = std::make_unique<runner::WorkerPool>(intra_threads_);
-  for (auto& ops : shard_ops_) ops.clear();
-  for (auto& ch : channels_) ch.clear();
-  shard_ops_head_.assign(num_shards_, 0);
-  channels_head_.assign(num_shards_ * num_shards_, 0);
-  shard_errors_.assign(num_shards_, {0, nullptr});
-
-  // Parallel compute phase: each lane executes one shard's sub-batch in seq
-  // order; callbacks mutate only that shard's node states, and every shared
-  // side effect streams into the shard's op queue or an outgoing channel.
-  pool_->parallel_for_deterministic(groups.size(), [&](std::size_t g) {
-    const auto [begin, end] = groups[g];
-    const std::uint32_t s = keyed[begin].first;
-    const auto lane_start = std::chrono::steady_clock::now();
-    LaneCtx ctx;
-    ctx.sim = this;
-    ctx.shard = s;
-    t_lane_ctx = &ctx;
-    for (std::size_t k = begin; k < end; ++k) {
-      Event& ev = batch[keyed[k].second];
-      ctx.seq = ev.seq;
-      ctx.op = 0;
-      try {
-        ev.fn();
-        ev.fn.reset();
-      } catch (...) {
-        shard_errors_[s] = {ev.seq, std::current_exception()};
-        break;  // same-shard successors depend on the failed event
-      }
-      ++shard_stats_[s].events;
-    }
-    t_lane_ctx = nullptr;
-    shard_stats_[s].wall_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      lane_start)
-            .count();
-  });
-
-  // Deterministic barrier: walk the batch in seq order, replaying each
-  // event's deferred ops and channel sends in op-index order — the serial
-  // interleaving.  A failed event replays the ops it deferred before
-  // throwing and then rethrows; streams of later events are dropped (they
-  // are cleared at the next batch), as a serial run would never have
-  // executed them.
-  for (const Event& ev : batch) {
-    const std::uint32_t s = shard_of(ev.node);
-    replay_event_ops(ev.seq, s);
-    if (shard_errors_[s].second != nullptr && shard_errors_[s].first == ev.seq) {
-      std::rethrow_exception(shard_errors_[s].second);
-    }
-  }
-}
-
-void Simulator::replay_event_ops(std::uint64_t seq, std::uint32_t shard) {
-  std::vector<OpEntry>& ops = shard_ops_[shard];
-  std::size_t& ops_head = shard_ops_head_[shard];
-  const std::size_t row = shard * num_shards_;
-  for (;;) {
-    // Candidate heads: the shard's local op stream plus its S outgoing
-    // channels; every stream is (seq, op)-ascending, so the heads are the
-    // only candidates and the minimum op index is the next serial effect.
-    int kind = -1;  // 0 = local op, 1 = channel send
-    std::uint32_t best_op = 0;
-    std::size_t best_channel = 0;
-    if (ops_head < ops.size() && ops[ops_head].seq == seq) {
-      kind = 0;
-      best_op = ops[ops_head].op;
-    }
-    for (std::size_t d = 0; d < num_shards_; ++d) {
-      const std::vector<ChannelEntry>& ch = channels_[row + d];
-      const std::size_t head = channels_head_[row + d];
-      if (head < ch.size() && ch[head].seq == seq &&
-          (kind < 0 || ch[head].op < best_op)) {
-        kind = 1;
-        best_op = ch[head].op;
-        best_channel = row + d;
-      }
-    }
-    if (kind < 0) return;
-    if (kind == 0) {
-      OpEntry& e = ops[ops_head++];
-      e.fn();
-      e.fn.reset();
-    } else {
-      // Drain the channel entry into the destination shard's queue; the
-      // insert runs on the simulator thread and takes the next global seq —
-      // the seq a serial execution of the scheduling call would assign.
-      ChannelEntry& e = channels_[best_channel][channels_head_[best_channel]++];
-      schedule_at_tagged(e.when, e.node, std::move(e.fn));
-    }
-  }
-}
-
-std::size_t Simulator::run_sharded(bool bounded, Time deadline,
-                                   std::size_t max_events) {
-  std::size_t processed = 0;
-  Event ev;
-  while (!sharded_idle()) {
-    if (bounded) {
-      Time next_at = 0;
-      bool have = false;
-      const auto consider = [&](const ShardQueue& q) {
-        Time at;
-        std::uint64_t seq;
-        if (queue_next_key(q, at, seq) && (!have || at < next_at)) {
-          next_at = at;
-          have = true;
-        }
-      };
-      consider(driverq_);
-      for (const ShardQueue& q : shardq_) consider(q);
-      if (next_at > deadline) break;
-    }
-    if (processed >= max_events) {
-      throw std::runtime_error(bounded
-                                   ? "Simulator::run_until: event budget "
-                                     "exhausted"
-                                   : "Simulator::run: event budget exhausted");
-    }
-    if (intra_threads_ > 1) {
-      sharded_collect_batch(max_events - processed, batch_);
-      if (!batch_.empty()) {
-        now_ = batch_.front().at;
-        sharded_execute_batch(batch_);
-        processed += batch_.size();
-        executed_ += batch_.size();
-        batch_.clear();
-        continue;
-      }
-    }
-    const std::uint32_t s = sharded_pop_next(ev);
-    now_ = ev.at;
-    if (s != kUntagged) {
-      current_shard_ = s;
-      try {
-        ev.fn();
-      } catch (...) {
-        current_shard_ = kUntagged;
-        throw;
-      }
-      current_shard_ = kUntagged;
-      ++shard_stats_[s].events;
-    } else {
-      ev.fn();
-    }
-    ev.fn.reset();
-    ++processed;
-    ++executed_;
-  }
-  // Deadline exits can only leave events with at > deadline queued (the
-  // next-time gate above breaks before popping anything later), so advancing
-  // the clock to the deadline is safe — same invariant as the unsharded
-  // plane.
-  if (bounded && now_ < deadline) now_ = deadline;
-  return processed;
-}
-
 void Simulator::reserve(std::size_t events) {
-  if (num_shards_ > 1) {
-    const std::size_t per = events / num_shards_ + 16;
-    for (ShardQueue& q : shardq_) {
-      q.heap.reserve(per);
-      q.fns.reserve(per);
-      q.free_slots.reserve(per);
-    }
-    return;
-  }
   heap_.reserve(events);
   heap_fns_.reserve(events);
   free_slots_.reserve(events);
@@ -595,137 +75,12 @@ void Simulator::pop_next(Event& out) {
   }
 }
 
-void Simulator::collect_batch(std::size_t limit, std::vector<Event>& batch) {
-  batch.clear();
-  const bool burst_ready = burst_head_ < burst_.size();
-  const Time t = burst_ready ? now_ : heap_.front().at;
-  bool blocked = false;  // stopped at an untagged same-time event
-  // Heap events at <= t precede every burst event (strictly smaller seq).
-  while (batch.size() < limit && !heap_.empty() && heap_.front().at <= t) {
-    if (heap_.front().node == kUntagged) {
-      blocked = true;
-      break;
-    }
-    batch.emplace_back();
-    heap_pop_into(batch.back());
-  }
-  if (!blocked && burst_ready) {
-    while (batch.size() < limit && burst_head_ < burst_.size() &&
-           burst_[burst_head_].node != kUntagged) {
-      batch.push_back(std::move(burst_[burst_head_++]));
-    }
-    if (burst_head_ >= burst_.size()) {
-      burst_.clear();
-      burst_head_ = 0;
-    }
-  }
-}
-
-void Simulator::execute_batch(std::vector<Event>& batch) {
-  if (batch.size() == 1) {
-    // Singleton — the common case on delivery cascades (continuous link
-    // delays rarely coincide).  Identical to the unbatched path, with no
-    // partition/commit machinery on the hot path.
-    batch[0].fn();
-    batch[0].fn.reset();
-    return;
-  }
-  // Partition event indices by node tag; within a node, seq order (== batch
-  // order) is preserved, so causally dependent same-node events (a delivery
-  // followed by the flush it scheduled) run in order on one lane.
-  auto& keyed = keyed_;
-  keyed.clear();
-  keyed.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    keyed.emplace_back(batch[i].node, i);
-  }
-  std::sort(keyed.begin(), keyed.end());
-  auto& groups = groups_;  // [begin, end) runs of one node's events
-  groups.clear();
-  for (std::size_t i = 0; i < keyed.size();) {
-    std::size_t j = i + 1;
-    while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
-    groups.emplace_back(i, j);
-    i = j;
-  }
-
-  // Below this many distinct nodes the barrier costs more than the overlap
-  // buys: flooding traffic is full of 2-node coincidences (both directions
-  // of a link share one delay, so symmetric A<->B exchanges land at the
-  // same instant), and dispatching those pairs to the pool made runs
-  // slower, not faster.  The threshold only inspects batch composition, so
-  // the execution path — and with it the observable behaviour — stays a
-  // pure function of the event sequence.
-  constexpr std::size_t kMinPoolGroups = 4;
-  if (groups.size() < kMinPoolGroups) {
-    // Few nodes (or one event): nothing worth overlapping — run serially
-    // with immediate side effects, exactly the unbatched path.
-    for (Event& ev : batch) {
-      ev.fn();
-      ev.fn.reset();
-    }
-    return;
-  }
-
-  if (!pool_) pool_ = std::make_unique<runner::WorkerPool>(intra_threads_);
-  commit_queues_.resize(batch.size());
-  for (auto& q : commit_queues_) q.clear();
-  batch_errors_.assign(batch.size(), nullptr);
-
-  // Parallel compute phase: each lane executes whole node groups; callbacks
-  // mutate only their node's private state, and every shared side effect
-  // they attempt is deferred into the event's commit queue.
-  pool_->parallel_for_deterministic(groups.size(), [&](std::size_t g) {
-    const auto [begin, end] = groups[g];
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t idx = keyed[k].second;
-      t_commit_queue = &commit_queues_[idx];
-      try {
-        batch[idx].fn();
-        batch[idx].fn.reset();
-      } catch (...) {
-        batch_errors_[idx] = std::current_exception();
-        t_commit_queue = nullptr;
-        break;  // same-node successors depend on the failed event
-      }
-      t_commit_queue = nullptr;
-    }
-  });
-
-  // Ordered commit: replay side effects in event seq order on this thread.
-  // A failed event commits the ops it deferred before throwing (matching
-  // the serial partial execution) and then rethrows; queues of later events
-  // are dropped, as a serial run would never have executed them.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    for (util::UniqueFunction& op : commit_queues_[i]) {
-      op();
-      op.reset();
-    }
-    commit_queues_[i].clear();
-    if (batch_errors_[i]) std::rethrow_exception(batch_errors_[i]);
-  }
-}
-
 std::size_t Simulator::run(std::size_t max_events) {
-  if (num_shards_ > 1) {
-    return run_sharded(/*bounded=*/false, /*deadline=*/0, max_events);
-  }
   std::size_t processed = 0;
   Event ev;
   while (!idle()) {
     if (processed >= max_events) {
       throw std::runtime_error("Simulator::run: event budget exhausted");
-    }
-    if (intra_threads_ > 1) {
-      collect_batch(max_events - processed, batch_);
-      if (!batch_.empty()) {
-        now_ = batch_.front().at;
-        execute_batch(batch_);
-        processed += batch_.size();
-        executed_ += batch_.size();
-        batch_.clear();
-        continue;
-      }
     }
     pop_next(ev);
     now_ = ev.at;
@@ -739,9 +94,6 @@ std::size_t Simulator::run(std::size_t max_events) {
 }
 
 std::size_t Simulator::run_until(Time deadline, std::size_t max_events) {
-  if (num_shards_ > 1) {
-    return run_sharded(/*bounded=*/true, deadline, max_events);
-  }
   std::size_t processed = 0;
   Event ev;
   while (!idle()) {
@@ -752,17 +104,6 @@ std::size_t Simulator::run_until(Time deadline, std::size_t max_events) {
     if (next_at > deadline) break;
     if (processed >= max_events) {
       throw std::runtime_error("Simulator::run_until: event budget exhausted");
-    }
-    if (intra_threads_ > 1) {
-      collect_batch(max_events - processed, batch_);
-      if (!batch_.empty()) {
-        now_ = batch_.front().at;
-        execute_batch(batch_);
-        processed += batch_.size();
-        executed_ += batch_.size();
-        batch_.clear();
-        continue;
-      }
     }
     pop_next(ev);
     now_ = ev.at;

@@ -17,76 +17,26 @@
 // than any same-time event still in the heap, so the observable order is
 // bit-identical to the pure-heap implementation).
 //
-// Intra-trial parallelism (DESIGN.md §8): events may carry a *node tag* —
-// the id of the single protocol node whose private state their callback
-// touches.  With set_intra_threads(n > 1), maximal same-instant runs of
-// tagged events are partitioned by node across a persistent WorkerPool
-// (partition → barrier → ordered commit): callbacks execute concurrently
-// (node-local mutation only), while every shared side effect they attempt —
-// schedule() calls, and anything a caller routes through defer_commit_op()
-// such as Network's counters/sends/analysis hook — is captured into a
-// per-event commit queue and replayed on the simulator thread in sequence
-// order at the barrier.  Observable state (event seq assignment, message
-// order, counters, analyzer reports) is therefore bit-identical to the
-// serial execution for any thread count.  Untagged events are barriers:
-// batches never extend past them.
-//
-// Topology sharding (DESIGN.md §13): set_shards(S, shard_of_node) replaces
-// the single event queue with S per-shard queues (each heap + burst FIFO)
-// plus a driver queue for untagged events, all sharing one global sequence
-// counter.  Same-instant batches partition by *shard* instead of by node
-// and each shard's sub-batch runs in seq order on one WorkerPool lane;
-// shared side effects stream into per-shard op queues, and schedule calls
-// targeting another shard stream into per-(src, dst) shard channels — the
-// boundary-link message fabric.  The barrier replays both streams merged in
-// (event seq, op index) order, which is exactly the serial interleaving, so
-// every observable stays bit-identical to the unsharded run for any shard
-// count, serial or parallel.
+// Every event runs on the calling thread, in (time, seq) order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/unique_function.hpp"
-
-namespace centaur::runner {
-class WorkerPool;
-}  // namespace centaur::runner
 
 namespace centaur::sim {
 
 /// Simulated seconds.
 using Time = double;
 
-/// True while the calling thread is inside the parallel compute phase of a
-/// same-instant batch (i.e. running on a WorkerPool lane under
-/// Simulator::set_intra_threads > 1).  Shared-state mutations must be
-/// deferred through defer_commit_op() while this holds.
-bool in_parallel_phase();
-
-/// Appends `op` to the executing event's commit queue; the simulator runs
-/// the queues in event sequence order at the batch barrier, on the
-/// simulator thread.  Precondition: in_parallel_phase().
-void defer_commit_op(util::UniqueFunction op);
-
-/// True while the calling thread is a sharded-plane lane (a shard sub-batch
-/// under set_shards > 1).  Implies in_parallel_phase().  In a sharded lane,
-/// schedule calls may be issued directly — cross-shard ones ride the shard
-/// channels and are counted there — whereas other shared side effects must
-/// still go through defer_commit_op().
-bool in_sharded_lane();
-
 /// Deterministic event queue: ties in time break by insertion order, so a
 /// run is a pure function of its inputs.
 class Simulator {
  public:
-  /// Tag for events whose callback may touch shared state (never batched).
-  static constexpr std::uint32_t kUntagged = 0xFFFFFFFFu;
-
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -98,45 +48,11 @@ class Simulator {
   /// Schedules `fn` at an absolute time (>= now()).
   void schedule_at(Time when, util::UniqueFunction fn);
 
-  /// Tagged variants: `node` promises that `fn` only mutates that protocol
-  /// node's private state (plus deferred commit ops), which makes the event
-  /// eligible for same-instant parallel batching.
-  void schedule_tagged(Time delay, std::uint32_t node,
-                       util::UniqueFunction fn);
-  void schedule_at_tagged(Time when, std::uint32_t node,
-                          util::UniqueFunction fn);
-
-  /// Worker-lane count for same-instant batches (CENTAUR_INTRA_THREADS).
-  /// 1 (the default) executes everything serially on the calling thread;
-  /// the pool is created lazily on the first parallel batch and persists
-  /// for the simulator's lifetime.
-  void set_intra_threads(std::size_t threads);
-  std::size_t intra_threads() const { return intra_threads_; }
-
-  /// Switches to the sharded event plane (see file header): `count` shard
-  /// queues, `shard_of_node[tag]` owning each node tag.  Must be called on
-  /// a pristine simulator (nothing scheduled or executed yet); count <= 1
-  /// keeps the unsharded plane.  Every shard value must be < count.
-  void set_shards(std::size_t count, std::vector<std::uint32_t> shard_of_node);
-  std::size_t shards() const { return num_shards_; }
-
-  /// Deterministic per-shard execution tallies (sharded plane only).
-  /// `events` counts events executed by the shard — identical for any lane
-  /// count; `wall_s` accumulates the shard's lane compute time and is only
-  /// populated by parallel batches (intra_threads > 1).
-  struct ShardStats {
-    std::uint64_t events = 0;
-    double wall_s = 0;
-  };
-  const std::vector<ShardStats>& shard_stats() const { return shard_stats_; }
-
-  /// Messages that crossed the (src, dst) shard channel: schedules issued
-  /// by one shard's events targeting a node owned by another (deliveries on
-  /// boundary links).  Deterministic — identical for any lane count.
-  /// Always 0 on the unsharded plane (there are no channels to cross).
-  std::uint64_t channel_messages(std::size_t src, std::size_t dst) const {
-    if (num_shards_ <= 1) return 0;
-    return channel_total_.at(src * num_shards_ + dst);
+  /// Same as schedule(); `node` is ignored.  Kept for callers that name
+  /// the node an event belongs to.
+  void schedule_tagged(Time delay, std::uint32_t /*node*/,
+                       util::UniqueFunction fn) {
+    schedule(delay, std::move(fn));
   }
 
   /// Pre-sizes the event heap (events outstanding at once, not total).
@@ -154,12 +70,8 @@ class Simulator {
   /// run_until exits, asserted in debug builds).
   std::size_t run_until(Time deadline, std::size_t max_events = 50'000'000);
 
-  bool idle() const {
-    if (num_shards_ > 1) return sharded_idle();
-    return heap_.empty() && burst_head_ >= burst_.size();
-  }
+  bool idle() const { return heap_.empty() && burst_head_ >= burst_.size(); }
   std::size_t pending() const {
-    if (num_shards_ > 1) return sharded_pending();
     return heap_.size() + (burst_.size() - burst_head_);
   }
 
@@ -168,14 +80,9 @@ class Simulator {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  /// Lane-side deferral pushes straight into the executing shard's op
-  /// stream (sharded plane).
-  friend void defer_commit_op(util::UniqueFunction);
-
   struct Event {
     Time at = 0;
     std::uint64_t seq = 0;
-    std::uint32_t node = kUntagged;
     util::UniqueFunction fn;
   };
   /// Heap element: the ordering key plus a handle into heap_fns_.  Keeping
@@ -185,7 +92,6 @@ class Simulator {
   struct HeapItem {
     Time at = 0;
     std::uint64_t seq = 0;
-    std::uint32_t node = kUntagged;
     std::uint32_t slot = 0;  ///< index into heap_fns_
   };
   struct Later {
@@ -195,85 +101,17 @@ class Simulator {
     }
   };
 
+  /// Queues `fn` at `when` (>= now_): the burst FIFO when `when` is now_,
+  /// otherwise the heap.
+  void push(Time when, util::UniqueFunction fn);
   /// Parks `fn` in a free heap_fns_ slot and pushes its key onto the heap.
-  void heap_push(Time when, std::uint32_t node, util::UniqueFunction fn);
+  void heap_push(Time when, util::UniqueFunction fn);
   /// Pops the heap top into `out`, releasing its callable slot.
   void heap_pop_into(Event& out);
 
   /// Pops the next event in (time, seq) order into `out`.  Precondition:
   /// !idle().
   void pop_next(Event& out);
-
-  /// Moves the maximal run of ready tagged events (all at one timestamp, in
-  /// seq order, stopping at the first untagged event or at `limit`) into
-  /// `batch`.  Precondition: !idle().  Leaves `batch` empty when the next
-  /// event is untagged.
-  void collect_batch(std::size_t limit, std::vector<Event>& batch);
-
-  /// Executes `batch` (all events at now_, seq-ascending) with effects
-  /// bit-identical to running the events serially in order: node groups run
-  /// on the worker pool, commit queues replay in seq order at the barrier.
-  void execute_batch(std::vector<Event>& batch);
-
-  // --- sharded event plane (set_shards > 1; see file header) ----------------
-
-  /// One shard's private event queue: the same heap + burst FIFO pair as
-  /// the unsharded plane, keyed by the shared global (time, seq) order.
-  struct ShardQueue {
-    std::vector<HeapItem> heap;
-    std::vector<util::UniqueFunction> fns;
-    std::vector<std::uint32_t> free_slots;
-    std::vector<Event> burst;
-    std::size_t burst_head = 0;
-
-    bool empty() const { return heap.empty() && burst_head >= burst.size(); }
-    std::size_t size() const {
-      return heap.size() + (burst.size() - burst_head);
-    }
-  };
-  /// A deferred shared side effect of a lane-executed event, ordered by
-  /// (event seq, per-event op index) — the serial interleaving key.
-  struct OpEntry {
-    std::uint64_t seq = 0;
-    std::uint32_t op = 0;
-    util::UniqueFunction fn;
-  };
-  /// A schedule request crossing from one shard's lane to another shard's
-  /// queue, carried by the (src, dst) channel until the barrier drains it.
-  struct ChannelEntry {
-    std::uint64_t seq = 0;  ///< scheduling event's seq
-    std::uint32_t op = 0;   ///< its per-event op index
-    Time when = 0;
-    std::uint32_t node = kUntagged;
-    util::UniqueFunction fn;
-  };
-
-  std::uint32_t shard_of(std::uint32_t node) const;
-  bool sharded_idle() const;
-  std::size_t sharded_pending() const;
-  /// Pushes onto a shard/driver queue (same burst-vs-heap split and slot
-  /// management as the unsharded plane).
-  void queue_push(ShardQueue& q, Time when, std::uint32_t node,
-                  util::UniqueFunction fn);
-  static void queue_pop_into(ShardQueue& q, Event& out);
-  /// (time, seq) key of q's next event; false if q is empty.
-  static bool queue_next_key(const ShardQueue& q, Time& at, std::uint64_t& seq);
-  /// Pops the globally next event in (time, seq) order across every shard
-  /// queue and the driver queue; returns the owning shard (or kUntagged
-  /// for a driver event).  Precondition: !sharded_idle().
-  std::uint32_t sharded_pop_next(Event& out);
-  /// Moves the maximal same-instant run of shard events (global seq order,
-  /// stopping at the first same-time driver event or `limit`) into `batch`.
-  void sharded_collect_batch(std::size_t limit, std::vector<Event>& batch);
-  /// Sharded counterpart of execute_batch: shard groups run on lanes, op
-  /// streams and channels replay merged by (seq, op) at the barrier.
-  void sharded_execute_batch(std::vector<Event>& batch);
-  /// Replays one event's deferred ops (local ops + its shard's outgoing
-  /// channels) in op-index order, advancing the stream cursors
-  /// (shard_ops_head_ / channels_head_).
-  void replay_event_ops(std::uint64_t seq, std::uint32_t shard);
-  /// Shared main loop for the sharded plane; `bounded` gates on deadline.
-  std::size_t run_sharded(bool bounded, Time deadline, std::size_t max_events);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -285,31 +123,6 @@ class Simulator {
   std::vector<std::uint32_t> free_slots_;
   std::vector<Event> burst_;  // FIFO of events at exactly now_
   std::size_t burst_head_ = 0;
-  std::size_t intra_threads_ = 1;
-  std::unique_ptr<runner::WorkerPool> pool_;
-  // Batch scratch, reused across batches to avoid per-batch allocation.
-  std::vector<Event> batch_;
-  std::vector<std::pair<std::uint32_t, std::size_t>> keyed_;
-  std::vector<std::pair<std::size_t, std::size_t>> groups_;
-  std::vector<std::vector<util::UniqueFunction>> commit_queues_;
-  std::vector<std::exception_ptr> batch_errors_;
-
-  // Sharded plane state (unused while num_shards_ == 1).
-  std::size_t num_shards_ = 1;
-  std::vector<std::uint32_t> shard_of_;  // node tag -> shard
-  std::vector<ShardQueue> shardq_;       // one queue per shard
-  ShardQueue driverq_;                   // untagged events
-  std::vector<std::vector<OpEntry>> shard_ops_;       // per-shard op stream
-  std::vector<std::vector<ChannelEntry>> channels_;   // [src * S + dst]
-  std::vector<std::size_t> shard_ops_head_;           // replay cursors
-  std::vector<std::size_t> channels_head_;
-  std::vector<std::uint64_t> channel_total_;          // lifetime counts
-  std::vector<ShardStats> shard_stats_;
-  // First failure per shard during the lane phase: (event seq, exception).
-  std::vector<std::pair<std::uint64_t, std::exception_ptr>> shard_errors_;
-  // Shard executing on the simulator thread (serial sharded pops), for
-  // cross-shard channel accounting; kUntagged outside shard events.
-  std::uint32_t current_shard_ = kUntagged;
 };
 
 }  // namespace centaur::sim

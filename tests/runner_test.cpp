@@ -65,19 +65,6 @@ TEST(ThreadsFromEnv, RejectsGarbage) {
   ASSERT_EQ(unsetenv("CENTAUR_THREADS"), 0);
 }
 
-TEST(IntraThreadsFromEnv, DefaultsSerialAndParsesStrictly) {
-  util::reset_warn_once_for_testing();
-  ASSERT_EQ(unsetenv("CENTAUR_INTRA_THREADS"), 0);
-  EXPECT_EQ(runner::intra_threads_from_env(), 1u);  // opt-in: default serial
-  ASSERT_EQ(setenv("CENTAUR_INTRA_THREADS", "4", 1), 0);
-  EXPECT_EQ(runner::intra_threads_from_env(), 4u);
-  ASSERT_EQ(setenv("CENTAUR_INTRA_THREADS", "bogus", 1), 0);
-  EXPECT_EQ(runner::intra_threads_from_env(), 1u);
-  ASSERT_EQ(setenv("CENTAUR_INTRA_THREADS", "0", 1), 0);
-  EXPECT_EQ(runner::intra_threads_from_env(), 1u);
-  ASSERT_EQ(unsetenv("CENTAUR_INTRA_THREADS"), 0);
-}
-
 // -------------------------------------------------------- TrialFailure ----
 
 TEST(RunTrials, FailureReportsIndexAndCompletion) {

@@ -181,141 +181,56 @@ TEST(Simulator, RunUntilPastDeadlineLeavesBurstQueued) {
   EXPECT_TRUE(sim.idle());
 }
 
-TEST(Simulator, RunUntilExactDeadlineBurstUnderBatching) {
-  // Same boundary case through the parallel batch executor.
-  Simulator sim;
-  sim.set_intra_threads(4);
-  std::vector<int> log_a, log_b;
-  sim.schedule_at(0.5, [&] {
-    sim.schedule_tagged(0, 0, [&] { log_a.push_back(1); });
-    sim.schedule_tagged(0, 1, [&] { log_b.push_back(2); });
-  });
-  sim.run_until(0.5);
-  EXPECT_EQ(log_a, (std::vector<int>{1}));
-  EXPECT_EQ(log_b, (std::vector<int>{2}));
-  EXPECT_TRUE(sim.idle());
-}
-
-// ---------------------------------------------- Same-instant batching -----
-
-// Runs one scripted program on a simulator with the given intra-thread
-// count and returns every observable: per-node event logs plus the shared
-// commit-ordered log (appended via deferred zero-delay events).
-struct BatchObservation {
-  std::vector<std::vector<int>> node_logs;
-  std::vector<int> shared_log;
-  std::uint64_t executed = 0;
-  Time final_now = 0;
-
-  bool operator==(const BatchObservation& o) const {
-    return node_logs == o.node_logs && shared_log == o.shared_log &&
-           executed == o.executed && final_now == o.final_now;
-  }
-};
-
-BatchObservation run_batch_program(std::size_t threads, std::size_t nodes) {
-  Simulator sim;
-  sim.set_intra_threads(threads);
-  BatchObservation obs;
-  obs.node_logs.resize(nodes);
-  // Three waves at one instant: a tagged event per node, each appending to
-  // its node-local log and scheduling (a) a same-instant tagged follow-up
-  // and (b) an untagged shared-log append whose execution order proves the
-  // commit replays in seq order.
-  for (std::size_t n = 0; n < nodes; ++n) {
-    sim.schedule_at(0.25, [&, n] {
-      obs.node_logs[n].push_back(static_cast<int>(n));
-      sim.schedule_tagged(0, static_cast<std::uint32_t>(n), [&, n] {
-        obs.node_logs[n].push_back(100 + static_cast<int>(n));
-      });
-      sim.schedule(0, [&, n] { obs.shared_log.push_back(static_cast<int>(n)); });
-    });
-  }
-  // The wave above is untagged (schedule_at), so it runs serially with its
-  // burst split by untagged barriers; the second wave is tagged at a later
-  // instant and exercises the parallel batch path proper.
-  for (std::size_t n = 0; n < nodes; ++n) {
-    sim.schedule_tagged(0.5 - 0.25, static_cast<std::uint32_t>(n), [&, n] {
-      obs.node_logs[n].push_back(200 + static_cast<int>(n));
-      sim.schedule_tagged(0, static_cast<std::uint32_t>(n), [&, n] {
-        obs.node_logs[n].push_back(300 + static_cast<int>(n));
-      });
-      sim.schedule(0, [&, n] {
-        obs.shared_log.push_back(1000 + static_cast<int>(n));
-      });
-    });
-  }
-  sim.run();
-  obs.executed = sim.executed();
-  obs.final_now = sim.now();
-  return obs;
-}
-
-TEST(Simulator, BatchedExecutionIsBitIdenticalToSerial) {
-  const BatchObservation serial = run_batch_program(1, 8);
-  for (const std::size_t threads : {2u, 4u, 7u}) {
-    const BatchObservation parallel = run_batch_program(threads, 8);
-    EXPECT_TRUE(serial == parallel) << "threads=" << threads;
-  }
-}
-
-TEST(Simulator, UntaggedEventActsAsBatchBarrier) {
-  // tagged(a) | untagged | tagged(b) at one instant: the untagged event
-  // must not be reordered around the tagged ones.
-  Simulator sim;
-  sim.set_intra_threads(4);
-  std::vector<int> order;
-  sim.schedule_at(0.1, [&] {
-    sim.schedule_tagged(0, 0, [&] { order.push_back(1); });
-    sim.schedule(0, [&] { order.push_back(2); });
-    sim.schedule_tagged(0, 1, [&] { order.push_back(3); });
-  });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(Simulator, BatchedEventExceptionPropagatesDeterministically) {
-  // The lowest-seq failing event's exception surfaces, regardless of which
-  // worker lane hit it first; commit ops of later events are dropped.  Five
-  // distinct nodes keep the batch above the pool-dispatch threshold, and
-  // the second thrower (node 3) must always lose to node 1.
-  for (const std::size_t threads : {1u, 4u}) {
-    Simulator sim;
-    sim.set_intra_threads(threads);
-    std::vector<int> committed;
-    sim.schedule_at(0.1, [&] {
-      sim.schedule_tagged(0, 0, [&] {
-        sim.schedule(0, [&] { committed.push_back(0); });
-      });
-      sim.schedule_tagged(0, 1,
-                          [&]() { throw std::runtime_error("node 1 died"); });
-      sim.schedule_tagged(0, 2, [&] {
-        sim.schedule(0, [&] { committed.push_back(2); });
-      });
-      sim.schedule_tagged(0, 3,
-                          [&]() { throw std::runtime_error("node 3 died"); });
-      sim.schedule_tagged(0, 4, [&] {
-        sim.schedule(0, [&] { committed.push_back(4); });
-      });
+  // A throwing event propagates out of run() at its seq position: the first
+  // of two same-instant throwers surfaces, and no later event runs.
+  Simulator sim;
+  std::vector<int> committed;
+  sim.schedule_at(0.1, [&] {
+    sim.schedule(0, [&] {
+      sim.schedule(0, [&] { committed.push_back(0); });
     });
-    try {
-      sim.run();
-      FAIL() << "expected the node-1 failure to propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "node 1 died") << "threads=" << threads;
-    }
-    // Only the pre-failure event's deferred op may have been committed (it
-    // is then scheduled but never run — run() threw).
-    EXPECT_TRUE(committed.empty()) << "threads=" << threads;
+    sim.schedule(0, [&]() { throw std::runtime_error("node 1 died"); });
+    sim.schedule(0, [&] {
+      sim.schedule(0, [&] { committed.push_back(2); });
+    });
+    sim.schedule(0, [&]() { throw std::runtime_error("node 3 died"); });
+    sim.schedule(0, [&] {
+      sim.schedule(0, [&] { committed.push_back(4); });
+    });
+  });
+  try {
+    sim.run();
+    FAIL() << "expected the node-1 failure to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "node 1 died");
   }
+  // The event before the failure scheduled its append, which never ran.
+  EXPECT_TRUE(committed.empty());
 }
 
-TEST(Simulator, SetIntraThreadsClampsToOne) {
+TEST(Simulator, TaggedScheduleOrdersLikeSchedule) {
+  // schedule_tagged ignores its node tag: interleaved with schedule(), in
+  // the heap and in the same-instant burst, events run in (time, call)
+  // order, and pending() and executed() count both kinds alike.
   Simulator sim;
-  sim.set_intra_threads(0);
-  EXPECT_EQ(sim.intra_threads(), 1u);
-  sim.set_intra_threads(3);
-  EXPECT_EQ(sim.intra_threads(), 3u);
+  std::vector<int> order;
+  sim.schedule_tagged(0.2, 7, [&] { order.push_back(2); });
+  sim.schedule(0.2, [&] { order.push_back(3); });
+  sim.schedule_tagged(0.2, 3, [&] { order.push_back(4); });
+  sim.schedule(0.2, [&] {
+    order.push_back(5);
+    sim.schedule_tagged(0, 9, [&] { order.push_back(6); });
+    sim.schedule(0, [&] { order.push_back(7); });
+    sim.schedule_tagged(0, 0, [&] { order.push_back(8); });
+    EXPECT_EQ(sim.pending(), 3u);
+  });
+  sim.schedule_tagged(0.1, 5, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_EQ(sim.run(), 8u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(sim.executed(), 8u);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Simulator, ReserveDoesNotDisturbOrdering) {

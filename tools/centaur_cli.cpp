@@ -31,10 +31,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "eval/experiments.hpp"
@@ -49,7 +47,6 @@
 #include "topology/generator.hpp"
 #include "topology/parser.hpp"
 #include "topology/stats.hpp"
-#include "util/env.hpp"
 #include "util/scale.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -69,12 +66,6 @@ constexpr struct EnvVar {
      "topology sizes / trial counts; the campaign/bench node default"},
     {"CENTAUR_THREADS", "integer >= 1 (hardware concurrency)",
      "trial fan-out width; any value is bit-identical to serial"},
-    {"CENTAUR_INTRA_THREADS", "integer >= 1 (1)",
-     "worker lanes for same-instant event batches inside one trial; any "
-     "value is bit-identical to serial"},
-    {"CENTAUR_SHARDS", "integer >= 1 (1)",
-     "topology sharding: per-shard event queues with deterministic "
-     "cross-shard channels; any shard count is bit-identical to unsharded"},
     {"CENTAUR_BENCH_JSON", "file or directory path (off)",
      "emit BENCH_<name>.json reports; --json <path> overrides"},
     {"CENTAUR_CHECK", "off|collect|assert (off)",
@@ -547,58 +538,6 @@ int run_campaign_command(Options& opt, bool canned) {
   report.add_note("fault campaign: " + std::to_string(spec.script.phases.size()) +
                   " scripted phases per protocol arm");
 
-  if (canned) {
-    // Intra-trial parallelism check: replay the Centaur arm serially and at
-    // 4 lanes and report the per-phase wall-time ratio.  Results are
-    // bit-identical by construction (tests/intra_parallel_test.cpp), so
-    // only wall time can differ; notes-only, never gated.
-    const std::optional<std::string> saved =
-        util::env_string("CENTAUR_INTRA_THREADS");
-    faults::ScenarioSpec arm = spec;
-    arm.protocol = eval::Protocol::kCentaur;
-    const auto timed = [&](const char* lanes) {
-      setenv("CENTAUR_INTRA_THREADS", lanes, 1);
-      return faults::run_scenario(graph, arm);
-    };
-    const faults::CampaignResult serial = timed("1");
-    const faults::CampaignResult parallel = timed("4");
-    if (saved) {
-      setenv("CENTAUR_INTRA_THREADS", saved->c_str(), 1);
-    } else {
-      unsetenv("CENTAUR_INTRA_THREADS");
-    }
-    util::TextTable table("centaur intra-trial speedup (1 vs 4 lanes)");
-    table.header({"phase", "serial ms", "4-lane ms", "speedup"});
-    const auto ratio = [](double s, double p) {
-      return s / std::max(p, 1e-9);
-    };
-    auto speed_row = [&](const std::string& name, double s, double p) {
-      table.row({name, util::fmt_double(s * 1e3, 1),
-                 util::fmt_double(p * 1e3, 1),
-                 util::fmt_double(ratio(s, p), 2) + "x"});
-    };
-    speed_row("cold_start", serial.cold_start_wall_s,
-              parallel.cold_start_wall_s);
-    std::string note = "centaur intra-trial speedup (1 vs 4 lanes, " +
-                       std::to_string(std::thread::hardware_concurrency()) +
-                       " host cores): cold_start " +
-                       util::fmt_double(ratio(serial.cold_start_wall_s,
-                                              parallel.cold_start_wall_s),
-                                        2) +
-                       "x";
-    const std::size_t phases = std::min(serial.phase_wall_s.size(),
-                                        parallel.phase_wall_s.size());
-    for (std::size_t p = 0; p < phases; ++p) {
-      speed_row(serial.phases[p].name, serial.phase_wall_s[p],
-                parallel.phase_wall_s[p]);
-      note += ", " + serial.phases[p].name + " " +
-              util::fmt_double(
-                  ratio(serial.phase_wall_s[p], parallel.phase_wall_s[p]), 2) +
-              "x";
-    }
-    table.print(std::cout);
-    report.add_note(note);
-  }
   report.write();
   if (report.enabled()) {
     std::cout << "wrote " << bench_name << " JSON report\n";

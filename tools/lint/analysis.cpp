@@ -69,38 +69,14 @@ struct Extractor {
     return q;
   }
 
-  /// Consumes a function body starting at the `{` at index `open`, filling
-  /// `fn` with calls/guard info.  Returns the index just past the `}`.
+  /// Records a function whose body starts at the `{` at index `open`.
+  /// Returns the index just past the matching `}`.
   std::size_t consume_body(std::size_t open, FunctionInfo fn) {
-    std::size_t depth = 0;
-    std::size_t i = open;
+    const std::size_t end = skip_balanced(open, "{", "}");
     fn.body_begin = open + 1;
-    bool saw_guard = false, saw_defer = false;
-    for (; i < toks.size(); ++i) {
-      if (punct(i, "{")) {
-        ++depth;
-        continue;
-      }
-      if (punct(i, "}")) {
-        if (--depth == 0) {
-          ++i;
-          break;
-        }
-        continue;
-      }
-      if (toks[i].kind == TokKind::kIdent) {
-        const std::string& t = toks[i].text;
-        if (t == "in_parallel_phase") saw_guard = true;
-        if (t == "defer_commit_op") saw_defer = true;
-        if (punct(i + 1, "(") && keywords().count(t) == 0) {
-          fn.calls.push_back(t);
-        }
-      }
-    }
-    fn.body_end = i > 0 ? i - 1 : i;  // index of the closing '}'
-    fn.guard_aware = saw_guard && saw_defer;
+    fn.body_end = end > 0 ? end - 1 : end;  // index of the closing '}'
     out.push_back(std::move(fn));
-    return i;
+    return end;
   }
 
   /// At declaration scope, tries to read a function definition starting at
@@ -181,7 +157,6 @@ struct Extractor {
           continue;
         }
         FunctionInfo fn;
-        fn.name = last;
         fn.qualified = scope_prefix() + qual + last;
         fn.file = file.path;
         fn.line = toks[i].line;

@@ -1,23 +1,16 @@
-// Heuristic function extraction and call-graph construction.
+// Heuristic function extraction.
 //
-// Rule D1 ("no direct schedule / Network-counter mutation reachable from a
-// node-tagged batch handler") needs to know which function each token lives
-// in and which functions call which.  A full C++ parse is out of scope for a
-// dependency-free linter, so this pass recovers just enough structure from
-// the token stream:
+// Rule W1 ("no raw byte-pointer reads outside the cursor API") needs to
+// know which function each token lives in.  A full C++ parse is out of scope
+// for a dependency-free linter, so this pass recovers just enough structure
+// from the token stream:
 //
 //   * function definitions — a (possibly qualified) identifier followed by a
 //     balanced parameter list and a `{` body, found at namespace/class
 //     scope; constructors with init lists are handled, lambdas are treated
 //     as part of their enclosing function's body;
 //   * the qualified name — enclosing class/namespace names joined with
-//     `::`, so `Network::send` and an inline `Cursor::u8` both resolve;
-//   * the set of callee names — every identifier followed by `(` inside the
-//     body (minus keywords), which over-approximates the real call graph:
-//     calls are matched cross-file by unqualified name, never missed, and
-//     sometimes over-matched.  Over-approximation keeps D1 sound as a gate;
-//     false positives are handled with inline suppressions or `driver`
-//     declarations in contexts.txt.
+//     `::`, so `Network::send` and an inline `Cursor::u8` both resolve.
 #pragma once
 
 #include <cstddef>
@@ -30,17 +23,11 @@ namespace centaur::lint {
 
 struct FunctionInfo {
   std::string qualified;  ///< e.g. "Network::send", "anon::helper" -> "helper"
-  std::string name;       ///< last component
   std::string file;
   std::size_t line = 0;
   /// Token index range of the body, braces excluded: [body_begin, body_end).
   std::size_t body_begin = 0;
   std::size_t body_end = 0;
-  std::vector<std::string> calls;  ///< unqualified callee names, in order
-  /// Body mentions both in_parallel_phase and defer_commit_op: the function
-  /// implements the serial-or-defer protocol itself and is exempt from D1's
-  /// direct-mutation check (DESIGN.md §11).
-  bool guard_aware = false;
 };
 
 /// Extracts function definitions from a lexed file.

@@ -122,8 +122,8 @@ LintResult run_lint(const LintOptions& opts) {
   const std::vector<std::string> files = collect_files(opts, &result.errors);
   result.stats.files = files.size();
 
-  // Contexts are required: D1/W1 are meaningless without their declared
-  // entry points and cursor functions.
+  // Contexts are required: W1 is meaningless without its declared cursor
+  // functions.
   const fs::path contexts_path =
       opts.contexts_path.empty() ? root / "tools" / "lint" / "contexts.txt"
                                  : fs::path(opts.contexts_path);

@@ -1,7 +1,6 @@
 #include "rules.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -192,114 +191,6 @@ void run_w1(const LexedFile& f, const std::vector<FunctionInfo>& fns,
   }
 }
 
-// ------------------------------------------------------------------- D1 ---
-
-struct GlobalFn {
-  const LexedFile* file;
-  FunctionInfo info;
-  bool reachable = false;
-  bool driver = false;
-};
-
-void run_d1(const std::vector<LexedFile>& files,
-            const std::vector<std::vector<FunctionInfo>>& fns_per_file,
-            const RuleContexts& ctx, std::vector<Finding>& out) {
-  if (ctx.entries.empty()) return;
-
-  std::vector<GlobalFn> fns;
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    if (!in_src(files[fi].path)) continue;  // D1 is a src/ contract
-    for (const FunctionInfo& fn : fns_per_file[fi]) {
-      GlobalFn g{&files[fi], fn, false, false};
-      for (const std::string& d : ctx.drivers) {
-        if (matches_function_pattern(fn.qualified, d)) g.driver = true;
-      }
-      fns.push_back(std::move(g));
-    }
-  }
-
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t i = 0; i < fns.size(); ++i) {
-    by_name[fns[i].info.name].push_back(i);
-  }
-
-  // Seed: functions matching an `entry` pattern.
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < fns.size(); ++i) {
-    for (const std::string& e : ctx.entries) {
-      if (matches_function_pattern(fns[i].info.qualified, e) &&
-          !fns[i].driver) {
-        fns[i].reachable = true;
-        work.push_back(i);
-        break;
-      }
-    }
-  }
-  // Name-matched closure (over-approximate by construction).
-  while (!work.empty()) {
-    const std::size_t cur = work.back();
-    work.pop_back();
-    for (const std::string& callee : fns[cur].info.calls) {
-      const auto it = by_name.find(callee);
-      if (it == by_name.end()) continue;
-      for (const std::size_t target : it->second) {
-        if (fns[target].reachable || fns[target].driver) continue;
-        fns[target].reachable = true;
-        work.push_back(target);
-      }
-    }
-  }
-
-  const std::set<std::string> counters(ctx.counters.begin(),
-                                       ctx.counters.end());
-  for (const GlobalFn& g : fns) {
-    if (!g.reachable || g.info.guard_aware) continue;
-    const std::vector<Token>& toks = g.file->tokens;
-    for (std::size_t i = g.info.body_begin; i < g.info.body_end; ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdent) continue;
-      const bool called = i + 1 < g.info.body_end &&
-                          toks[i + 1].kind == TokKind::kPunct &&
-                          toks[i + 1].text == "(";
-      if ((t.text == "schedule" || t.text == "schedule_at") && called) {
-        add(out, "D1", *g.file, t,
-            "direct " + t.text + "() in handler-reachable function '" +
-                g.info.qualified +
-                "': untagged events break same-instant batching — use "
-                "schedule_tagged/schedule_at_tagged or defer through "
-                "sim::defer_commit_op",
-            g.info.qualified + ":" + t.text);
-        continue;
-      }
-      if (counters.count(t.text) == 0) continue;
-      // Mutation contexts: `++c` / `--c` / `c ++` / `c op=` / `c =` /
-      // `c.member op=` etc.
-      const Token* prev = i > 0 ? &toks[i - 1] : nullptr;
-      bool mutated = prev != nullptr && prev->kind == TokKind::kPunct &&
-                     (prev->text == "++" || prev->text == "--");
-      std::size_t j = i + 1;
-      while (!mutated && j + 1 < toks.size() &&
-             toks[j].kind == TokKind::kPunct && toks[j].text == "." &&
-             toks[j + 1].kind == TokKind::kIdent) {
-        j += 2;
-      }
-      if (!mutated && j < toks.size() && toks[j].kind == TokKind::kPunct) {
-        const std::string& op = toks[j].text;
-        mutated = op == "=" || op == "+=" || op == "-=" || op == "++" ||
-                  op == "--";
-      }
-      if (mutated) {
-        add(out, "D1", *g.file, t,
-            "shared counter '" + t.text +
-                "' mutated in handler-reachable function '" +
-                g.info.qualified +
-                "' without the in_parallel_phase/defer_commit_op protocol",
-            g.info.qualified + ":" + t.text);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 RuleContexts parse_contexts(const std::string& text) {
@@ -317,14 +208,12 @@ RuleContexts parse_contexts(const std::string& text) {
                            ": missing value after '" + kind + "'");
       continue;
     }
-    if (kind == "entry") ctx.entries.push_back(value);
-    else if (kind == "counter") ctx.counters.push_back(value);
-    else if (kind == "driver") ctx.drivers.push_back(value);
-    else if (kind == "cursor") ctx.cursors.push_back(value);
-    else {
+    if (kind == "cursor") {
+      ctx.cursors.push_back(value);
+    } else {
       ctx.errors.push_back("line " + std::to_string(line_no) +
                            ": unknown declaration '" + kind +
-                           "' (want entry|counter|driver|cursor)");
+                           "' (want cursor)");
     }
   }
   return ctx;
@@ -332,9 +221,6 @@ RuleContexts parse_contexts(const std::string& text) {
 
 const std::vector<RuleDescription>& rule_table() {
   static const std::vector<RuleDescription> kRules = {
-      {"D1",
-       "no direct schedule()/schedule_at() or unguarded shared-counter "
-       "mutation reachable from node-tagged batch handlers"},
       {"D2", "no std::unordered_map/unordered_set in src/"},
       {"E1", "no raw getenv outside src/util/env.cpp"},
       {"R1", "no rand()/random_device/time()/system_clock in src/"},
@@ -376,7 +262,6 @@ std::vector<Finding> run_rules(const std::vector<LexedFile>& files,
       }
     }
   }
-  run_d1(files, fns, contexts, out);
 
   std::stable_sort(out.begin(), out.end(),
                    [](const Finding& a, const Finding& b) {

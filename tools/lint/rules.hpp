@@ -1,16 +1,7 @@
-// Rule definitions and the rule engine (rule-set version 1).
+// Rule definitions and the rule engine (rule-set version 2).
 //
 // Rules enforced, with path scopes (paths are repo-relative):
 //
-//   D1  determinism / deferred side effects          src/
-//       No direct schedule()/schedule_at() call and no unguarded mutation
-//       of a declared shared Network counter in any function reachable
-//       from a node-tagged batch handler entry point (declared with
-//       `entry` in contexts.txt).  Functions whose body implements the
-//       serial-or-defer protocol itself (mentions both in_parallel_phase
-//       and defer_commit_op) are exempt; `driver` functions in
-//       contexts.txt are by-contract never called from handlers and prune
-//       the reachability walk.
 //   D2  no unordered containers                      src/
 //       std::unordered_map / std::unordered_set leak hash-iteration order
 //       into results; use util::FlatMap or a sorted util::SmallVec.
@@ -42,7 +33,7 @@
 
 namespace centaur::lint {
 
-inline constexpr int kRuleSetVersion = 1;
+inline constexpr int kRuleSetVersion = 2;
 
 struct Finding {
   std::string rule;
@@ -55,11 +46,8 @@ struct Finding {
   std::string token;
 };
 
-/// Parsed contexts.txt: the checked-in declarations rules D1/W1 run against.
+/// Parsed contexts.txt: the checked-in declarations rule W1 runs against.
 struct RuleContexts {
-  std::vector<std::string> entries;   ///< D1 batch-handler entry points
-  std::vector<std::string> counters;  ///< D1 shared counter identifiers
-  std::vector<std::string> drivers;   ///< D1 driver-side functions (pruned)
   std::vector<std::string> cursors;   ///< W1 sanctioned cursor functions
   std::vector<std::string> errors;    ///< parse problems, "line N: ..."
 };
