@@ -108,7 +108,7 @@ std::vector<NodeId> CentaurNode::refresh_derived(
     }
 
     // The indexed walk chain of `e` is reverse(path) for a successful
-    // derivation and fail_chain for a failed one; de-index it.
+    // derivation and its fail_chains entry for a failed one; de-index it.
     const auto erase_walk = [&state](const DestState& e, NodeId d) {
       const auto de_index = [&state, d](NodeId node) {
         // Indexed nodes always have a slot (ensure() created it), but an
@@ -121,8 +121,8 @@ std::vector<NodeId> CentaurNode::refresh_derived(
         for (auto it = e.path.rbegin(); it != e.path.rend(); ++it) {
           de_index(*it);
         }
-      } else {
-        for (const NodeId node : e.fail_chain) de_index(node);
+      } else if (const auto* chain = state.fail_chains.find(d)) {
+        for (const NodeId node : *chain) de_index(node);
       }
     };
 
@@ -132,6 +132,7 @@ std::vector<NodeId> CentaurNode::refresh_derived(
       if (entry == nullptr) continue;
       erase_walk(*entry, dest);
       const bool had_path = !entry->path.empty();
+      if (!had_path) state.fail_chains.erase(dest);
       state.dests.erase(dest);
       if (had_path) changed.push_back(dest);
       continue;
@@ -143,14 +144,17 @@ std::vector<NodeId> CentaurNode::refresh_derived(
     }
 
     // Re-index the walk if it changed (failed walks are indexed too: their
-    // outcome can only flip when an in-link of a walked node changes).
+    // outcome can only flip when an in-link of a walked node changes).  A
+    // fresh entry has neither a path nor a failed chain, so it re-indexes.
     const bool was_derived = !entry->path.empty();
+    const std::vector<NodeId>* failed =
+        was_derived ? nullptr : state.fail_chains.find(dest);
     const bool chain_same =
         was_derived
             ? entry->path.size() == visited.size() &&
                   std::equal(visited.begin(), visited.end(),
                              entry->path.rbegin())
-            : entry->fail_chain == visited;
+            : failed != nullptr && *failed == visited;
     if (!chain_same) {
       erase_walk(*entry, dest);
       for (const NodeId node : visited) {
@@ -162,7 +166,7 @@ std::vector<NodeId> CentaurNode::refresh_derived(
     // the candidate summary is refreshed in lockstep so reselect() can rank
     // without touching the path itself.
     if (derivable) {
-      entry->fail_chain.clear();
+      if (!was_derived) state.fail_chains.erase(dest);
       if (was_derived && fresh == entry->path) continue;
       CandEntry& cand = entry->cand;
       cand.length = static_cast<std::uint32_t>(fresh.size());
@@ -173,7 +177,7 @@ std::vector<NodeId> CentaurNode::refresh_derived(
       // Keep the failed walk indexed and recorded, whether the previous
       // state was a live path (now gone) or an older failed walk.
       if (!chain_same || was_derived) {
-        entry->fail_chain.assign(visited.begin(), visited.end());
+        state.fail_chains[dest].assign(visited.begin(), visited.end());
       }
       if (!was_derived) continue;
       entry->path.clear();
@@ -819,6 +823,12 @@ const CentaurNode::DestCache* CentaurNode::neighbor_derived(
     NodeId neighbor) const {
   const NeighborState* state = rib_.find(neighbor);
   return state == nullptr ? nullptr : &state->dests;
+}
+
+const CentaurNode::FailChains* CentaurNode::neighbor_fail_chains(
+    NodeId neighbor) const {
+  const NeighborState* state = rib_.find(neighbor);
+  return state == nullptr ? nullptr : &state->fail_chains;
 }
 
 std::optional<Path> CentaurNode::selected_path(NodeId dest) const {

@@ -208,27 +208,27 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   ///
   /// The walk-chain invalidation set (every node the derivation walk
   /// examined — the outcome can only change when an in-link of a walked
-  /// node changes) is not stored separately: for a successful derivation it
-  /// is exactly `path` reversed, and only failed walks record it in
-  /// `fail_chain`.
+  /// node changes) is not stored here: for a successful derivation it is
+  /// exactly `path` reversed, and the rare failed walk records it in the
+  /// neighbor's FailChains side table.
   struct DestState {
     Path path;  ///< derived path B..dest; empty = marked but underivable
-    /// Nodes examined by a FAILED derivation walk (dest-first, ending at
-    /// the blocking node); empty while `path` is non-empty.
-    std::vector<NodeId> fail_chain;
     CandEntry cand;  ///< summary of `path`; valid iff path is non-empty
 
     /// Resets to the fresh-entry state, keeping buffer capacity
     /// (DenseMap slot-recycling hook).
     void clear() {
       path.clear();
-      fail_chain.clear();
       cand = CandEntry{};
     }
   };
 
   /// Derived-path cache: direct-indexed dest -> DestState (DESIGN.md §5).
   using DestCache = util::DenseMap<DestState>;
+  /// Failed derivation walks: dest -> every node the walk examined (dest
+  /// first, ending at the blocking node).  A destination has an entry
+  /// exactly while its DestCache entry has an empty path.
+  using FailChains = util::FlatMap<NodeId, std::vector<NodeId>>;
 
   // --- inspection (tests, experiments, invariant checker) -----------------
   const PGraph& local_pgraph() const { return local_; }
@@ -243,28 +243,34 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// Neighbors with assembled RIB state, ascending.
   std::vector<topo::NodeId> rib_neighbors() const;
   /// The per-destination cache kept for `neighbor`'s P-graph (derived
-  /// paths, walk chains, candidate summaries), or nullptr if there is no
-  /// RIB state for it.  Entries with an empty `path` are marked-but-
-  /// underivable destinations whose failed walk is indexed for re-checks.
+  /// paths, candidate summaries), or nullptr if there is no RIB state for
+  /// it.  Entries with an empty `path` are marked-but-underivable
+  /// destinations whose failed walk is indexed for re-checks.
   const DestCache* neighbor_derived(topo::NodeId neighbor) const;
+  /// The chains of `neighbor`'s failed walks, or nullptr if there is no RIB
+  /// state for it.
+  const FailChains* neighbor_fail_chains(topo::NodeId neighbor) const;
 
  private:
   /// Per-neighbor RIB state: the assembled P-graph plus caches that make
   /// steady-phase processing incremental — one DestState per marked
-  /// destination and an index from chain nodes to the destinations whose
-  /// derived walk visits them.  A delta changing the in-links of node X can
-  /// only change walks through X: all of them when X is a coarse head, only
-  /// those of the destinations the changed Permission-List pairs name when
-  /// X is a fine one (DeltaReport, DESIGN.md §12.1).
-  /// Both caches grow with content (the seed used node-based std::map):
+  /// destination, the chains of the failed walks among them, and an index
+  /// from chain nodes to the destinations whose derived walk visits them.
+  /// A delta changing the in-links of node X can only change walks through
+  /// X: all of them when X is a coarse head, only those of the destinations
+  /// the changed Permission-List pairs name when X is a fine one
+  /// (DeltaReport, DESIGN.md §12.1).
+  /// The caches grow with content (the seed used node-based std::map):
   /// `dests` is direct-indexed by destination id — destinations are the
-  /// originated set — and `chain_index` is a content-sized NodeMap whose
-  /// destination sets are sorted small-vectors.
+  /// originated set — `fail_chains` holds only the few underivable ones,
+  /// and `chain_index` is a content-sized NodeMap whose destination sets
+  /// are sorted small-vectors.
   struct NeighborState {
     NeighborState() = default;
     explicit NeighborState(topo::NodeId root) : graph(root) {}
-    PGraph graph;     // G_{B->self}
-    DestCache dests;  // dest -> derived path + walk chain + summary
+    PGraph graph;            // G_{B->self}
+    DestCache dests;         // dest -> derived path + summary
+    FailChains fail_chains;  // dest -> failed walk (underivable dests only)
     /// node -> dests whose walk visits it (sorted ascending).  Content-
     /// sized NodeMap (one slot per walked node); absent/empty value = no
     /// walks.

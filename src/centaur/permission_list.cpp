@@ -27,13 +27,10 @@ std::size_t PermissionList::entry_count() const {
 
 std::vector<PermissionList::Entry> PermissionList::entries() const {
   std::vector<Entry> out;
-  for (const std::uint64_t pair : pairs_) {
-    const NodeId next = pair_next(pair);
-    if (out.empty() || out.back().next_hop != next) {
-      out.push_back(Entry{next, {}});
-    }
-    out.back().dests.push_back(pair_dest(pair));
-  }
+  for_each_entry([&out](NodeId next_hop, const DestRun& dests) {
+    Entry& e = out.emplace_back(Entry{next_hop, {}});
+    for (const NodeId d : dests) e.dests.push_back(d);
+  });
   return out;
 }
 
@@ -48,22 +45,15 @@ PermissionList PermissionList::filtered(
 
 std::size_t PermissionList::byte_size(bool bloom_compressed) const {
   std::size_t bytes = 0;
-  std::size_t i = 0;
-  while (i < pairs_.size()) {
-    const NodeId next = pair_next(pairs_[i]);
-    std::size_t dests = 0;
-    while (i < pairs_.size() && pair_next(pairs_[i]) == next) {
-      ++dests;
-      ++i;
-    }
+  for_each_entry([&](NodeId, const DestRun& dests) {
     bytes += 4;  // next-hop id
     if (bloom_compressed) {
-      const util::BloomFilter f(dests, 0.01);
+      const util::BloomFilter f(dests.size(), 0.01);
       bytes += f.byte_size();
     } else {
-      bytes += 4 * dests;
+      bytes += 4 * dests.size();
     }
-  }
+  });
   return bytes;
 }
 

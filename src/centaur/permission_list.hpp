@@ -86,6 +86,50 @@ class PermissionList {
   /// Entries in ascending next-hop order (deterministic wire order).
   std::vector<Entry> entries() const;
 
+  /// One entry's destinations, ascending: a view over its run of packed
+  /// pairs, valid until the list changes.
+  class DestRun {
+   public:
+    class iterator {
+     public:
+      explicit iterator(const std::uint64_t* pair) : pair_(pair) {}
+      NodeId operator*() const { return pair_dest(*pair_); }
+      iterator& operator++() {
+        ++pair_;
+        return *this;
+      }
+      bool operator!=(const iterator& o) const { return pair_ != o.pair_; }
+
+     private:
+      const std::uint64_t* pair_;
+    };
+    DestRun(const std::uint64_t* first, const std::uint64_t* last)
+        : first_(first), last_(last) {}
+    iterator begin() const { return iterator(first_); }
+    iterator end() const { return iterator(last_); }
+    std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+
+   private:
+    const std::uint64_t* first_;
+    const std::uint64_t* last_;
+  };
+
+  /// Calls `fn(next_hop, dests)` once per entry, in entries() order,
+  /// without allocating — the wire encoder's walk.
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const {
+    const std::uint64_t* first = pairs_.begin();
+    while (first != pairs_.end()) {
+      const NodeId next = pair_next(*first);
+      const std::uint64_t* last = first + 1;
+      while (last != pairs_.end() && pair_next(*last) == next) ++last;
+      fn(next, DestRun(first, last));
+      first = last;
+    }
+  }
+
   /// Copy retaining only destinations accepted by `keep_dest` (export
   /// filtering prunes permissions for destinations not announced).
   PermissionList filtered(

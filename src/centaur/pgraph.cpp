@@ -20,19 +20,17 @@ namespace pgraph_detail {
 void PGraph::reset(NodeId root) {
   root_ = root;
   links_.clear();
-  // The adjacency tables keep their capacity: resets happen on session
+  // The parents table keeps its capacity: resets happen on session
   // restarts, where the graph re-grows to a similar size.
   parents_.clear_values();
-  children_.clear_values();
   destinations_.clear();
 }
 
 bool PGraph::remove_link(NodeId from, NodeId to) {
   if (!links_.erase(pack_link(from, to))) return false;
-  // The adjacency slots exist whenever the link did (ensure_link created
-  // them), so the finds cannot miss on this path.
+  // The parents slot exists whenever the link did (ensure_link created it),
+  // so the find cannot miss on this path.
   util::sorted_erase(*parents_.find(to), from);
-  util::sorted_erase(*children_.find(from), to);
   return true;
 }
 

@@ -14,8 +14,8 @@
 //     Permission Lists) from a selected path set.
 //
 // Storage (DESIGN.md §5): links live in a flat open-addressing table keyed
-// by the packed 64-bit DirectedLink; adjacency lists are small-vectors
-// inside flat maps keyed by NodeId.  Hot call sites should prefer the
+// by the packed 64-bit DirectedLink; the one adjacency index maps each
+// NodeId to its parents in a small-vector.  Hot call sites should prefer the
 // combined accessors (find_link_data, ensure_link) over has_link +
 // link_data pairs — one probe instead of two.
 //
@@ -87,13 +87,13 @@ class PGraph {
   /// Adjacency list: sorted ascending, inline up to 4 entries (the common
   /// case — most P-graph nodes have a single parent).
   using AdjList = util::SmallVec<NodeId, 4>;
-  /// Adjacency storage: content-sized NodeMap.  Each node keeps one P-graph
+  /// Parents storage: content-sized NodeMap.  Each node keeps one P-graph
   /// per neighbor, so the table must grow with the graph's links, not with
   /// the largest AS id.  Its home slot is the id's low bits: when the
   /// content covers its id range the table lays out like a direct-indexed
   /// array, so DerivePath's one parents() lookup per hop stays a single
   /// probe in ascending-id memory order.  An absent or empty value means
-  /// "no neighbors".
+  /// "no parents".
   using AdjVec = util::NodeMap<AdjList>;
 
   /// Flat link storage; iteration yields { DirectedLink-packed key, data }
@@ -141,13 +141,12 @@ class PGraph {
   NodeId root() const { return root_; }
   void reset(NodeId root);
 
-  /// Pre-sizes the link and adjacency tables for `links` links, so
+  /// Pre-sizes the link and parents tables for `links` links, so
   /// assembling a graph of known size (a reset delta) does not pay a rehash
-  /// cascade.  Each link adds at most one parents key and one children key.
+  /// cascade.  Each link adds at most one parents key.
   void reserve(std::size_t links) {
     links_.reserve(links);
     parents_.reserve(links);
-    children_.reserve(links);
   }
 
   // --- structure ---------------------------------------------------------
@@ -184,17 +183,11 @@ class PGraph {
   /// Parents of `n` in ascending order (empty if none).
   const AdjList& parents(NodeId n) const;
 
-  /// Children of `n` in ascending order (empty if none).
-  const AdjList& children(NodeId n) const;
-
-  /// True if `n` is the root or appears as an endpoint of some link.
-  bool contains(NodeId n) const {
-    if (n == root_) return true;
-    const AdjList* p = parents_.find(n);
-    if (p != nullptr && !p->empty()) return true;
-    const AdjList* c = children_.find(n);
-    return c != nullptr && !c->empty();
-  }
+  /// True if `n` is the root or the head of some link.  Only a received
+  /// graph can hold a node with out-links alone — its importer once loop
+  /// elimination dropped the links into it, or a node whose in-links the
+  /// import filter refused — and no walk toward such a node succeeds.
+  bool contains(NodeId n) const { return n == root_ || in_degree(n) > 0; }
 
   // --- destinations -------------------------------------------------------
 
@@ -273,13 +266,13 @@ class PGraph {
   /// order is needed).
   LinkView links() const { return LinkView(links_); }
 
-  /// Whole adjacency storage, keyed by NodeId, values sorted ascending;
-  /// absent/empty values are nodes with no neighbors on that side (iterate
-  /// with AdjVec::for_each — ascending id order whatever the layout).
-  /// Exposed for the invariant checker (src/check), which cross-validates
-  /// them against links(); protocol code should use parents()/children().
+  /// Whole parents index, keyed by NodeId, values sorted ascending;
+  /// absent/empty values are nodes without parents (iterate with
+  /// AdjVec::for_each — ascending id order whatever the layout).  It is the
+  /// graph's only adjacency index: the invariant checker (src/check)
+  /// cross-validates it against links() and derives children from links()
+  /// itself; protocol code should use parents().
   const AdjVec& parent_map() const { return parents_; }
-  const AdjVec& child_map() const { return children_; }
 
   /// Equality of structure, destination marks, and Permission Lists
   /// (counters are local bookkeeping and excluded).
@@ -293,15 +286,14 @@ class PGraph {
 
   NodeId root_ = topo::kInvalidNode;
   LinkMap links_;
-  AdjVec parents_;   // sorted values, keyed by NodeId
-  AdjVec children_;  // sorted values, keyed by NodeId
+  AdjVec parents_;  // sorted values, keyed by NodeId
   DestList destinations_;  // sorted ascending
 };
 
 namespace pgraph_detail {
 /// Shared empty adjacency list for absent nodes.  A namespace-scope inline
 /// variable avoids the per-call thread-safe-init guard a function-local
-/// static would re-check on every parents()/children() miss.
+/// static would re-check on every parents() miss.
 inline const PGraph::AdjList kEmptyAdjList{};
 [[noreturn]] void throw_missing_link(NodeId from, NodeId to);
 }  // namespace pgraph_detail
@@ -313,18 +305,10 @@ inline const PGraph::AdjList& PGraph::parents(NodeId n) const {
   return p != nullptr ? *p : pgraph_detail::kEmptyAdjList;
 }
 
-inline const PGraph::AdjList& PGraph::children(NodeId n) const {
-  const AdjList* c = children_.find(n);
-  return c != nullptr ? *c : pgraph_detail::kEmptyAdjList;
-}
-
 inline LinkData& PGraph::ensure_link(NodeId from, NodeId to, bool& added) {
   if (from == to) throw std::invalid_argument("PGraph::add_link: self-loop");
   LinkData& data = links_.ensure(pack_link(from, to), added);
-  if (added) {
-    util::sorted_insert(parents_.ensure(to), from);
-    util::sorted_insert(children_.ensure(from), to);
-  }
+  if (added) util::sorted_insert(parents_.ensure(to), from);
   return data;
 }
 

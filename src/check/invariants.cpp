@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "centaur/build_graph.hpp"
@@ -76,7 +77,8 @@ bool revisits_a_node(const Path& p) {
   return unique.size() != p.size();
 }
 
-/// Every node the graph mentions: root, link endpoints, adjacency keys.
+/// Every node the graph mentions: root, link endpoints, parents-index keys
+/// and values.
 std::set<NodeId> all_nodes(const PGraph& g) {
   std::set<NodeId> nodes;
   if (g.root() != topo::kInvalidNode) nodes.insert(g.root());
@@ -84,36 +86,57 @@ std::set<NodeId> all_nodes(const PGraph& g) {
     nodes.insert(link.from);
     nodes.insert(link.to);
   }
-  const auto collect = [&nodes](NodeId n, const PGraph::AdjList& adj) {
+  g.parent_map().for_each([&nodes](NodeId n, const PGraph::AdjList& adj) {
     if (adj.empty()) return;
     nodes.insert(n);
     nodes.insert(adj.begin(), adj.end());
-  };
-  g.parent_map().for_each(collect);
-  g.child_map().for_each(collect);
+  });
   return nodes;
 }
 
-void check_adjacency_map(const PGraph::AdjVec& map, const PGraph& g,
-                         bool map_is_parents, std::vector<Violation>& out) {
-  const char* name = map_is_parents ? "parents" : "children";
-  map.for_each([&](NodeId n, const PGraph::AdjList& adj) {
-    // Empty values are legal: a removed link empties its endpoint's list in
-    // place, leaving a node with no neighbors on this side.
+/// Children of every node, derived from links(): the graph keeps only a
+/// parents index.  Sorted by (from, to), each node's out-links form one
+/// run ascending by head, so traversals visit children in ascending order.
+class ChildIndex {
+ public:
+  explicit ChildIndex(const PGraph& g) {
+    links_.reserve(g.num_links());
+    for (const auto& [link, data] : g.links()) links_.push_back(link);
+    std::sort(links_.begin(), links_.end());
+  }
+
+  /// Out-links of `n`, ascending by head.
+  std::span<const DirectedLink> of(NodeId n) const {
+    const auto lo = std::lower_bound(
+        links_.begin(), links_.end(), n,
+        [](const DirectedLink& l, NodeId v) { return l.from < v; });
+    const auto hi = std::upper_bound(
+        lo, links_.end(), n,
+        [](NodeId v, const DirectedLink& l) { return v < l.from; });
+    return {lo, hi};
+  }
+
+ private:
+  std::vector<DirectedLink> links_;
+};
+
+/// Checks the parents index against links() (no dangling entries) and for
+/// sorted, duplicate-free values.
+void check_parent_map(const PGraph& g, std::vector<Violation>& out) {
+  g.parent_map().for_each([&](NodeId n, const PGraph::AdjList& adj) {
+    // Empty values are legal: a removed link empties its head's list in
+    // place, leaving a node without parents.
     if (adj.empty()) return;
     if (!std::is_sorted(adj.begin(), adj.end()) ||
         std::adjacent_find(adj.begin(), adj.end()) != adj.end()) {
       report(out, Invariant::kAdjacencySorted,
-             std::string(name) + "[" + std::to_string(n) +
-                 "] is not sorted/duplicate-free");
+             "parents[" + std::to_string(n) + "] is not sorted/duplicate-free");
     }
-    for (const NodeId other : adj) {
-      const NodeId from = map_is_parents ? other : n;
-      const NodeId to = map_is_parents ? n : other;
-      if (!g.has_link(from, to)) {
+    for (const NodeId from : adj) {
+      if (!g.has_link(from, n)) {
         report(out, Invariant::kAdjacency,
-               std::string(name) + "[" + std::to_string(n) +
-                   "] lists dangling link " + link_str(from, to));
+               "parents[" + std::to_string(n) + "] lists dangling link " +
+                   link_str(from, n));
       }
     }
   });
@@ -121,27 +144,28 @@ void check_adjacency_map(const PGraph::AdjVec& map, const PGraph& g,
 
 /// Iterative three-color DFS over child links; reports one witness link per
 /// detected cycle entry point.
-void check_acyclic(const PGraph& g, std::vector<Violation>& out) {
+void check_acyclic(const std::set<NodeId>& nodes, const ChildIndex& children,
+                   std::vector<Violation>& out) {
   enum : std::uint8_t { kWhite = 0, kGray = 1, kBlack = 2 };
   util::FlatMap<NodeId, std::uint8_t> color;
   struct Frame {
     NodeId node;
+    std::span<const DirectedLink> kids;
     std::size_t next_child = 0;
   };
   std::vector<Frame> stack;
-  for (const NodeId start : all_nodes(g)) {
+  for (const NodeId start : nodes) {
     if (color[start] != kWhite) continue;
-    stack.push_back(Frame{start});
+    stack.push_back(Frame{start, children.of(start)});
     color[start] = kGray;
     while (!stack.empty()) {
       Frame& frame = stack.back();
-      const PGraph::AdjList& kids = g.children(frame.node);
-      if (frame.next_child >= kids.size()) {
+      if (frame.next_child >= frame.kids.size()) {
         color[frame.node] = kBlack;
         stack.pop_back();
         continue;
       }
-      const NodeId child = kids[frame.next_child++];
+      const NodeId child = frame.kids[frame.next_child++].to;
       const std::uint8_t c = color[child];
       if (c == kGray) {
         report(out, Invariant::kAcyclic,
@@ -150,27 +174,29 @@ void check_acyclic(const PGraph& g, std::vector<Violation>& out) {
       }
       if (c == kWhite) {
         color[child] = kGray;
-        stack.push_back(Frame{child});
+        stack.push_back(Frame{child, children.of(child)});
       }
     }
   }
 }
 
-void check_root_reachable(const PGraph& g, std::vector<Violation>& out) {
+void check_root_reachable(NodeId root, const std::set<NodeId>& nodes,
+                          const ChildIndex& children,
+                          std::vector<Violation>& out) {
   // n reaches the root via parent links iff the root reaches n via child
   // links (same edges, reversed) — so one forward BFS from the root covers
   // every node.
   util::FlatSet<NodeId> seen;
-  seen.insert(g.root());
-  std::vector<NodeId> frontier{g.root()};
+  seen.insert(root);
+  std::vector<NodeId> frontier{root};
   while (!frontier.empty()) {
     const NodeId n = frontier.back();
     frontier.pop_back();
-    for (const NodeId child : g.children(n)) {
-      if (seen.insert(child)) frontier.push_back(child);
+    for (const DirectedLink& link : children.of(n)) {
+      if (seen.insert(link.to)) frontier.push_back(link.to);
     }
   }
-  for (const NodeId n : all_nodes(g)) {
+  for (const NodeId n : nodes) {
     if (!seen.count(n)) {
       report(out, Invariant::kRootReachable,
              "node " + std::to_string(n) +
@@ -198,19 +224,13 @@ std::vector<Violation> check_pgraph(const PGraph& g,
                std::to_string(g.in_degree(g.root())) + " parent link(s)");
   }
 
-  // links_ -> adjacency direction.
+  // links_ -> parents index direction.
   for (const auto& [link, data] : g.links()) {
     const PGraph::AdjList& ps = g.parents(link.to);
     if (!std::binary_search(ps.begin(), ps.end(), link.from)) {
       report(out, Invariant::kAdjacency,
              "link " + link_str(link.from, link.to) + " missing from parents[" +
                  std::to_string(link.to) + "]");
-    }
-    const PGraph::AdjList& cs = g.children(link.from);
-    if (!std::binary_search(cs.begin(), cs.end(), link.to)) {
-      report(out, Invariant::kAdjacency,
-             "link " + link_str(link.from, link.to) +
-                 " missing from children[" + std::to_string(link.from) + "]");
     }
     if (options.require_positive_counters && data.counter == 0) {
       report(out, Invariant::kCounter,
@@ -226,12 +246,17 @@ std::vector<Violation> check_pgraph(const PGraph& g,
     }
   }
 
-  // Adjacency -> links_ direction (dangling entries), plus sortedness.
-  check_adjacency_map(g.parent_map(), g, /*map_is_parents=*/true, out);
-  check_adjacency_map(g.child_map(), g, /*map_is_parents=*/false, out);
+  // Parents index -> links_ direction (dangling entries), plus sortedness.
+  check_parent_map(g, out);
 
-  if (options.require_acyclic) check_acyclic(g, out);
-  if (options.require_root_reachable) check_root_reachable(g, out);
+  if (options.require_acyclic || options.require_root_reachable) {
+    const std::set<NodeId> nodes = all_nodes(g);
+    const ChildIndex children(g);
+    if (options.require_acyclic) check_acyclic(nodes, children, out);
+    if (options.require_root_reachable) {
+      check_root_reachable(g.root(), nodes, children, out);
+    }
+  }
 
   if (options.destinations_in_graph) {
     for (const NodeId d : g.destinations()) {
@@ -447,8 +472,28 @@ std::vector<Violation> check_centaur_node(const core::CentaurNode& node) {
                    path_str(cached->path));
       }
     }
+    // Failed walks live in a side table: one chain, starting at the
+    // destination, for exactly the cached destinations without a path.
+    const core::CentaurNode::FailChains& failed =
+        *node.neighbor_fail_chains(nbr);
+    for (const auto& [dest, chain] : failed) {
+      const core::CentaurNode::DestState* cached = derived->find(dest);
+      if (cached == nullptr || !cached->path.empty() || chain.empty() ||
+          chain.front() != dest) {
+        report(out, Invariant::kDerivedCache,
+               scope + "stray failed-walk chain " + path_str(chain) +
+                   " for destination " + std::to_string(dest));
+      }
+    }
     for (const auto& [dest, state] : *derived) {
-      if (state.path.empty()) continue;  // underivable: walk index only
+      if (state.path.empty()) {
+        if (failed.find(dest) == nullptr) {
+          report(out, Invariant::kDerivedCache,
+                 scope + "underivable destination " + std::to_string(dest) +
+                     " has no failed-walk chain");
+        }
+        continue;
+      }
       if (!g->is_destination(dest)) {
         report(out, Invariant::kDerivedCache,
                scope + "cache entry for unmarked destination " +

@@ -32,8 +32,8 @@ using topo::Path;
 enum class Invariant {
   kRootValid,        ///< non-empty graph must have a valid root
   kRootNoParents,    ///< no link may point at the P-graph root
-  kAdjacency,        ///< links() and parent/child maps must agree exactly
-  kAdjacencySorted,  ///< adjacency vectors sorted ascending, duplicate-free
+  kAdjacency,        ///< links() and the parents index must agree exactly
+  kAdjacencySorted,  ///< parent lists sorted ascending, duplicate-free
   kAcyclic,          ///< P-graph must be a DAG (DerivePath termination)
   kRootReachable,    ///< every node must reach the root via parent links
   kPlistActivation,  ///< plist only on links whose head is multi-homed
@@ -115,8 +115,8 @@ inline PGraphCheckOptions wire_form_options() {
   return o;
 }
 
-/// Checks one P-graph's structural invariants: links_ <-> parents_/children_
-/// consistency, sorted duplicate-free adjacency vectors, acyclicity
+/// Checks one P-graph's structural invariants: links_ <-> parents_
+/// consistency, sorted duplicate-free parent lists, acyclicity
 /// (iterative DFS), root reachability, plist activation, and positive
 /// counters (the last four per `options`).  Returns every breach found.
 std::vector<Violation> check_pgraph(const PGraph& g,

@@ -10,6 +10,12 @@
 // Restricted to trivially copyable element types (NodeId and friends): that
 // keeps growth/relocation a memcpy and the type layout-stable inside
 // FlatMap slots.
+//
+// Layout (DESIGN.md §5.1): a 32-bit size and a 32-bit capacity, then the
+// inline array and the heap pointer sharing one union — the vector is on the
+// heap iff its capacity exceeds N.  On LP64 a SmallVec<NodeId, 4> is 24
+// bytes, against 40 for three words beside the inline array; millions of
+// them sit in P-graph adjacency tables and Permission Lists.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +23,8 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
+#include <stdexcept>
 #include <type_traits>
 
 namespace centaur::util {
@@ -26,14 +34,21 @@ class SmallVec {
   static_assert(std::is_trivially_copyable_v<T>,
                 "SmallVec is specialised for trivially copyable elements");
   static_assert(N > 0, "inline capacity must be positive");
+  static_assert(N < std::numeric_limits<std::uint32_t>::max(),
+                "inline capacity must fit the 32-bit header");
 
  public:
   using value_type = T;
   using iterator = T*;
   using const_iterator = const T*;
 
+  /// Largest size the 32-bit header can hold; growing past it throws
+  /// std::length_error before allocating.
+  static constexpr std::size_t kMaxSize =
+      std::numeric_limits<std::uint32_t>::max();
+
   // User-provided (not defaulted) so `static const SmallVec` default-
-  // initializes; inline_ is deliberately left uninitialized.
+  // initializes; the storage union is deliberately left uninitialized.
   SmallVec() noexcept {}  // NOLINT(modernize-use-equals-default)
 
   SmallVec(std::initializer_list<T> init) {
@@ -89,14 +104,14 @@ class SmallVec {
   }
 
   void push_back(const T& v) {
-    if (size_ == cap_) grow_to(cap_ * 2);
+    if (size_ == cap_) grow_to(std::size_t{cap_} * 2);
     data_()[size_++] = v;
   }
 
   /// Inserts `v` before `pos`; returns the iterator at the inserted slot.
   iterator insert(iterator pos, const T& v) {
     const std::size_t at = static_cast<std::size_t>(pos - data_());
-    if (size_ == cap_) grow_to(cap_ * 2);
+    if (size_ == cap_) grow_to(std::size_t{cap_} * 2);
     T* d = data_();
     std::memmove(d + at + 1, d + at, (size_ - at) * sizeof(T));
     d[at] = v;
@@ -120,37 +135,50 @@ class SmallVec {
   }
 
  private:
-  T* data_() { return heap_ ? heap_ : inline_; }
-  const T* data_() const { return heap_ ? heap_ : inline_; }
+  static constexpr std::uint32_t kInline = static_cast<std::uint32_t>(N);
 
+  bool on_heap() const { return cap_ > kInline; }
+  T* data_() { return on_heap() ? heap_ : inline_; }
+  const T* data_() const { return on_heap() ? heap_ : inline_; }
+
+  /// Moves the elements into a fresh heap block of at least `want` slots
+  /// (at least double the current capacity, at most kMaxSize).
   void grow_to(std::size_t want) {
-    const std::size_t cap = std::max<std::size_t>(want, cap_ * 2);
+    if (want > kMaxSize) {
+      throw std::length_error("SmallVec: more than 2^32 - 1 elements");
+    }
+    const std::size_t cap =
+        std::min(kMaxSize, std::max<std::size_t>(want, std::size_t{cap_} * 2));
     T* fresh = new T[cap];
     std::memcpy(static_cast<void*>(fresh), data_(), size_ * sizeof(T));
-    if (heap_) delete[] heap_;
+    if (on_heap()) delete[] heap_;
     heap_ = fresh;
-    cap_ = cap;
+    cap_ = static_cast<std::uint32_t>(cap);
   }
 
-  /// Copies `other` into this empty vector: into the inline array when it
-  /// fits, else into a fresh heap block.
+  /// Copies `other` into this empty, inline vector: into the inline array
+  /// when it fits, else into a fresh heap block.  More than N elements means
+  /// `other` is on the heap, so the heap branch copies from `other.heap_`
+  /// directly (reading it through data_() trips GCC's -Warray-bounds, which
+  /// cannot tell the storage modes apart).
   void assign_from(const SmallVec& other) {
     const std::size_t n = other.size_;
     if (n <= N) {
       copy_inline(other.data_(), n);
     } else {
       grow_to(n);
-      std::memcpy(static_cast<void*>(heap_), other.data_(), n * sizeof(T));
+      std::memcpy(static_cast<void*>(heap_), other.heap_, n * sizeof(T));
     }
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
+  /// Takes `other`'s contents into this empty, inline vector and leaves
+  /// `other` empty and inline.
   void steal_from(SmallVec& other) noexcept {
-    if (other.heap_) {
+    if (other.on_heap()) {
       heap_ = other.heap_;
       cap_ = other.cap_;
-      other.heap_ = nullptr;
-      other.cap_ = N;
+      other.cap_ = kInline;
     } else {
       copy_inline(other.inline_, other.size_);
     }
@@ -166,16 +194,17 @@ class SmallVec {
   }
 
   void release() {
-    delete[] heap_;
-    heap_ = nullptr;
-    cap_ = N;
+    if (on_heap()) delete[] heap_;
+    cap_ = kInline;
     size_ = 0;
   }
 
-  T inline_[N];
-  T* heap_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t cap_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;
+  union {
+    T inline_[N];  // live while cap_ == N
+    T* heap_;      // live while cap_ > N
+  };
 };
 
 /// Sorted-ascending insert; returns false if `x` was already present.

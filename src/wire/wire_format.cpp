@@ -102,29 +102,34 @@ struct BufferSink {
   }
 };
 
+// Walks the packed pairs in place: sizing a delta (CountSink) must not
+// allocate, and it runs on every CentaurUpdate construction.
 template <typename Sink>
 void put_plist(Sink& sink, const PermissionList& plist,
                PlistEncoding encoding) {
-  const std::vector<PermissionList::Entry> entries = plist.entries();
-  sink.varint(entries.size());
+  sink.varint(plist.entry_count());
   std::uint64_t prev_next = 0;
-  for (const PermissionList::Entry& e : entries) {
-    sink.varint(static_cast<std::uint64_t>(e.next_hop) - prev_next);
-    prev_next = e.next_hop;
-    sink.varint(e.dests.size());
+  plist.for_each_entry([&](NodeId next_hop,
+                           const PermissionList::DestRun& dests) {
+    sink.varint(static_cast<std::uint64_t>(next_hop) - prev_next);
+    prev_next = next_hop;
+    sink.varint(dests.size());
     if (encoding == PlistEncoding::kExplicit) {
       std::uint64_t prev_dest = 0;
-      for (const NodeId d : e.dests) {
+      for (const NodeId d : dests) {
         sink.varint(static_cast<std::uint64_t>(d) - prev_dest);
         prev_dest = d;
       }
     } else {
-      const util::BloomFilter filter = PermissionList::compress_dests(e.dests);
+      std::vector<NodeId> run;
+      run.reserve(dests.size());
+      for (const NodeId d : dests) run.push_back(d);
+      const util::BloomFilter filter = PermissionList::compress_dests(run);
       sink.varint(filter.words().size());
       sink.varint(filter.hash_count());
       sink.words(filter.words());
     }
-  }
+  });
 }
 
 // Counts + sections — everything after the two header bytes.  Shared by the

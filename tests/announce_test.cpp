@@ -157,6 +157,39 @@ TEST(ApplyDelta, DropsLinksPointingAtSelf) {
   EXPECT_TRUE(g.has_link(A, B));  // links *from* self survive
 }
 
+TEST(ApplyDelta, ImporterWithOnlyOutLinksAnswersLikeTheWalk) {
+  // Loop elimination leaves the importer A its out-link A->B but no in-link,
+  // so contains(A) is false and query_path_into's fast reject answers for A
+  // without walking.  Every answer must equal the plain walk's.
+  const ExportedView v = make_export_view(fig4_local(), allow_all_dests());
+  PGraph g(C);
+  apply_delta(g, diff_views(ExportedView{}, v), /*self=*/A);
+  ASSERT_TRUE(g.has_link(A, B));
+  ASSERT_EQ(g.in_degree(A), 0u);
+  EXPECT_FALSE(g.contains(A));
+  EXPECT_TRUE(g.contains(B));
+  for (const NodeId dest : {A, B, C, D, Dp}) {
+    std::vector<NodeId> fast_visited, walk_visited;
+    Path fast_path, walk_path;
+    const PathStatus fast =
+        query_path_into(g, PathQuery{dest, &fast_visited}, fast_path);
+    const PathStatus walk = query_path_over(
+        PGraphView{&g}, PathQuery{dest, &walk_visited}, walk_path);
+    EXPECT_EQ(fast, walk) << "dest " << dest;
+    EXPECT_EQ(fast_path, walk_path) << "dest " << dest;
+    EXPECT_EQ(fast_visited, walk_visited) << "dest " << dest;
+  }
+  std::vector<NodeId> visited;
+  Path path;
+  EXPECT_EQ(query_path_into(g, PathQuery{A, &visited}, path),
+            PathStatus::kUnreachable);
+  EXPECT_EQ(visited, std::vector<NodeId>{A});
+  // B hangs only off the importer: its walk stops at A.
+  EXPECT_EQ(query_path_into(g, PathQuery{B, &visited}, path),
+            PathStatus::kUnreachable);
+  EXPECT_EQ(visited, (std::vector<NodeId>{B, A}));
+}
+
 TEST(ApplyDelta, ImportFilterApplies) {
   const ExportedView v = make_export_view(fig4_local(), allow_all_dests());
   const GraphDelta d = diff_views(ExportedView{}, v);

@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "centaur/centaur_node.hpp"
+#include "centaur/permission_list.hpp"
+#include "centaur/pgraph.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
@@ -205,49 +209,149 @@ TEST(VecMap, EqualityComparesContents) {
 
 // ----------------------------------------------------------- SmallVec -----
 
+/// Trivially copyable element whose array allocations are counted, so a
+/// test can see whether SmallVec reached the heap.
+struct Counted {
+  std::uint32_t v;
+  static inline std::size_t allocations = 0;
+  static void* operator new[](std::size_t bytes) {
+    ++allocations;
+    return ::operator new[](bytes);
+  }
+  static void operator delete[](void* p) noexcept { ::operator delete[](p); }
+};
+
 TEST(SmallVec, InlineThenSpill) {
-  SmallVec<std::uint32_t, 4> v;
+  SmallVec<Counted, 4> v;
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.capacity(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) v.push_back(i);
+  const std::size_t before = Counted::allocations;
+  for (std::uint32_t i = 0; i < 4; ++i) v.push_back(Counted{i});
   EXPECT_EQ(v.capacity(), 4u);  // still inline
-  for (std::uint32_t i = 4; i < 100; ++i) v.push_back(i);
+  EXPECT_EQ(Counted::allocations, before);
+  v.push_back(Counted{4});  // N + 1 spills, once
+  EXPECT_EQ(Counted::allocations, before + 1);
+  EXPECT_EQ(v.capacity(), 8u);
+  for (std::uint32_t i = 5; i < 100; ++i) v.push_back(Counted{i});
   EXPECT_EQ(v.size(), 100u);
-  EXPECT_GT(v.capacity(), 4u);
-  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(v[i], i);
-  EXPECT_EQ(v.front(), 0u);
-  EXPECT_EQ(v.back(), 99u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(v[i].v, i);
+  EXPECT_EQ(v.front().v, 0u);
+  EXPECT_EQ(v.back().v, 99u);
 }
 
 TEST(SmallVec, InsertAndEraseInMiddle) {
   SmallVec<int, 4> v{1, 2, 4, 5};
-  v.insert(v.begin() + 2, 3);
+  v.insert(v.begin() + 2, 3);  // a full inline array spills
   EXPECT_EQ(v, (SmallVec<int, 4>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(v.capacity(), 8u);
   v.erase(v.begin());
   v.erase(v.end() - 1);
   EXPECT_EQ(v, (SmallVec<int, 4>{2, 3, 4}));
 }
 
 TEST(SmallVec, CopyAndMoveBothStorageModes) {
-  SmallVec<int, 4> small{1, 2};
-  SmallVec<int, 4> big;
-  for (int i = 0; i < 32; ++i) big.push_back(i);
+  using V = SmallVec<std::uint32_t, 4>;
+  const auto filled = [](std::uint32_t n, std::uint32_t base) {
+    V v;
+    for (std::uint32_t i = 0; i < n; ++i) v.push_back(base + i);
+    return v;
+  };
+  const V small = filled(3, 1);  // inline
+  const V big = filled(20, 100);  // heap
+  const V small_target = filled(1, 7);
+  const V big_target = filled(9, 0);
 
-  SmallVec<int, 4> small_copy(small);
-  SmallVec<int, 4> big_copy(big);
-  EXPECT_EQ(small_copy, small);
-  EXPECT_EQ(big_copy, big);
+  // Construction and assignment for every source/target storage pair.
+  for (const V* source : {&small, &big}) {
+    const V copy(*source);
+    EXPECT_EQ(copy, *source);
+    V donor(*source);
+    const V moved(std::move(donor));
+    EXPECT_EQ(moved, *source);
+    EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
 
-  SmallVec<int, 4> small_moved(std::move(small_copy));
-  SmallVec<int, 4> big_moved(std::move(big_copy));
-  EXPECT_EQ(small_moved, small);
-  EXPECT_EQ(big_moved, big);
-  EXPECT_TRUE(big_copy.empty());  // NOLINT(bugprone-use-after-move)
+    for (const V* target_init : {&small_target, &big_target}) {
+      V copied = *target_init;
+      copied = *source;
+      EXPECT_EQ(copied, *source);
 
-  big_moved = small;  // heap -> inline assignment
-  EXPECT_EQ(big_moved, small);
-  small_moved = big;  // inline -> heap assignment
-  EXPECT_EQ(small_moved, big);
+      V assigned = *target_init;
+      V giver = *source;
+      assigned = std::move(giver);
+      EXPECT_EQ(assigned, *source);
+      EXPECT_TRUE(giver.empty());  // NOLINT(bugprone-use-after-move)
+    }
+  }
+
+  // Self-assignment, through an alias so no warning fires, keeps contents.
+  for (const V* source : {&small, &big}) {
+    V v = *source;
+    V& alias = v;
+    v = alias;
+    EXPECT_EQ(v, *source);
+    v = std::move(alias);
+    EXPECT_EQ(v, *source);
+  }
+}
+
+TEST(SmallVec, MovedFromIsEmptyAndReusable) {
+  using V = SmallVec<std::uint32_t, 4>;
+  for (const std::uint32_t n : {3u, 40u}) {  // inline source, heap source
+    V source;
+    for (std::uint32_t i = 0; i < n; ++i) source.push_back(i);
+    V taken(std::move(source));
+    EXPECT_EQ(taken.size(), n);
+    EXPECT_TRUE(source.empty());       // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.capacity(), 4u);  // back to inline storage
+    for (std::uint32_t i = 0; i < 6; ++i) source.push_back(i * 10);
+    EXPECT_EQ(source, (V{0, 10, 20, 30, 40, 50}));
+
+    V assigned_from;
+    for (std::uint32_t i = 0; i < n; ++i) assigned_from.push_back(i);
+    taken = std::move(assigned_from);
+    EXPECT_TRUE(assigned_from.empty());  // NOLINT(bugprone-use-after-move)
+    assigned_from.push_back(9);
+    EXPECT_EQ(assigned_from, (V{9}));
+  }
+}
+
+TEST(SmallVec, ClearKeepsHeapCapacity) {
+  SmallVec<Counted, 4> v;
+  for (std::uint32_t i = 0; i < 10; ++i) v.push_back(Counted{i});
+  const std::size_t cap = v.capacity();
+  ASSERT_GT(cap, 4u);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), cap);
+  const std::size_t before = Counted::allocations;
+  for (std::uint32_t i = 0; i < cap; ++i) v.push_back(Counted{i});
+  EXPECT_EQ(Counted::allocations, before);  // refilled without allocating
+  EXPECT_EQ(v.back().v, cap - 1);
+}
+
+TEST(SmallVec, ReservePastUint32MaxThrowsWithoutAllocating) {
+  using V = SmallVec<Counted, 4>;
+  EXPECT_EQ(V::kMaxSize, std::size_t{0xFFFFFFFFu});
+  V v;
+  v.push_back(Counted{1});
+  const std::size_t before = Counted::allocations;
+  EXPECT_THROW(v.reserve(V::kMaxSize + 1), std::length_error);
+  EXPECT_EQ(Counted::allocations, before);
+  ASSERT_EQ(v.size(), 1u);  // unchanged
+  EXPECT_EQ(v.capacity(), 4u);
+  EXPECT_EQ(v[0].v, 1u);
+}
+
+TEST(SmallVec, LayoutSizesOnLp64) {
+  if (sizeof(void*) != 8 || sizeof(std::size_t) != 8) {
+    GTEST_SKIP() << "sizes are pinned for LP64 only";
+  }
+  // 32-bit size and capacity, then the inline array sharing its storage
+  // with the heap pointer (DESIGN.md §5.1).
+  EXPECT_EQ(sizeof(SmallVec<topo::NodeId, 4>), 24u);
+  EXPECT_EQ(sizeof(core::PermissionList), 32u);
+  EXPECT_EQ(sizeof(core::LinkData), 40u);
+  EXPECT_EQ(sizeof(core::CentaurNode::DestState), 40u);
 }
 
 TEST(SmallVec, SortedHelpers) {

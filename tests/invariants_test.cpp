@@ -33,10 +33,10 @@ struct PGraphCorruptor {
     PGraph::AdjList& ps = g.parents_.ensure(to);
     ps.insert(std::upper_bound(ps.begin(), ps.end(), from), from);
   }
-  /// Destroys the sorted-ascending ordering of children[of].
-  static void unsort_children(PGraph& g, NodeId of) {
-    PGraph::AdjList& cs = g.children_.ensure(of);
-    std::reverse(cs.begin(), cs.end());
+  /// Destroys the sorted-ascending ordering of parents[of].
+  static void unsort_parents(PGraph& g, NodeId of) {
+    PGraph::AdjList& ps = g.parents_.ensure(of);
+    std::reverse(ps.begin(), ps.end());
   }
 };
 
@@ -103,9 +103,14 @@ TEST(CheckPGraph, UnsortedAdjacencyIsDetected) {
   PGraph g(0);
   g.add_link(0, 1);
   g.add_link(0, 2);
+  g.add_link(1, 3);
+  g.add_link(2, 3);
   g.link_data(0, 1).counter = 1;
   g.link_data(0, 2).counter = 1;
-  PGraphCorruptor::unsort_children(g, 0);
+  g.link_data(1, 3).counter = 1;
+  g.link_data(2, 3).counter = 1;
+  ASSERT_TRUE(check_pgraph(g).empty());
+  PGraphCorruptor::unsort_parents(g, 3);  // parents[3] becomes {2, 1}
   EXPECT_TRUE(has(check_pgraph(g), Invariant::kAdjacencySorted));
 }
 
