@@ -38,11 +38,11 @@ EncodingCosts measure(const PGraph& pg,
       exhaustive[core::DirectedLink{path[i], path[i + 1]}].add(path);
     }
   }
-  for (const auto& [link, data] : pg.links()) {
-    if (!pg.multi_homed(link.to) || data.plist.empty()) continue;
+  for (const auto& [link, plist] : pg.links()) {
+    if (!pg.multi_homed(link.to) || plist.empty()) continue;
     ++costs.lists;
-    costs.raw_bytes += data.plist.byte_size(false);
-    costs.bloom_bytes += data.plist.byte_size(true);
+    costs.raw_bytes += plist.byte_size(false);
+    costs.bloom_bytes += plist.byte_size(true);
     const auto it = exhaustive.find(link);
     if (it != exhaustive.end()) {
       costs.exhaustive_bytes += it->second.byte_size();

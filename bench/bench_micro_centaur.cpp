@@ -90,7 +90,7 @@ void BM_DerivePath(benchmark::State& state) {
   const PGraph pg = core::build_local_pgraph(1, selected);
   NodeId dest = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pg.derive_path(dest));
+    benchmark::DoNotOptimize(core::query_path(pg, core::PathQuery{dest}));
     dest = static_cast<NodeId>((dest + 1) % g.num_nodes());
   }
 }

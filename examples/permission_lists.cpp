@@ -67,11 +67,11 @@ int main() {
   // C's local P-graph is exactly the paper's Figure 4(c).
   const core::PGraph& pg = c.local_pgraph();
   std::cout << "C's local P-graph (" << pg.num_links() << " links):\n";
-  for (const auto& [link, data] : pg.links()) {
+  for (const auto& [link, plist] : pg.links()) {
     std::cout << "  " << kNames[link.from] << " -> " << kNames[link.to];
     if (pg.plist_active(link.from, link.to)) {
       std::cout << "   Permission List:";
-      for (const auto& entry : data.plist.entries()) {
+      for (const auto& entry : plist.entries()) {
         std::cout << " {dests: [";
         for (std::size_t i = 0; i < entry.dests.size(); ++i) {
           std::cout << (i ? ", " : "") << kNames[entry.dests[i]];
@@ -90,12 +90,13 @@ int main() {
   const auto& a = dynamic_cast<core::CentaurNode&>(net.node(A));
   const core::PGraph* from_c = a.neighbor_pgraph(C);
   std::cout << "\nA reassembling C's downstream paths:\n";
-  const auto dp_path = from_c->derive_path(Dp);
+  const core::PathResult dp_path = core::query_path(*from_c, {Dp});
   std::cout << "  DerivePath(D') = "
-            << (dp_path ? pretty(*dp_path) : std::string("(none)")) << "\n";
-  const auto d_path = from_c->derive_path(D);
+            << (dp_path ? pretty(dp_path.path) : std::string("(none)"))
+            << "\n";
+  const core::PathResult d_path = core::query_path(*from_c, {D});
   std::cout << "  DerivePath(D)  = "
-            << (d_path ? pretty(*d_path) : std::string("(none)"))
+            << (d_path ? pretty(d_path.path) : std::string("(none)"))
             << "   <- the policy-violating <C, D> is NOT derivable\n";
 
   std::cout << "\nHence A routes to D via B: "

@@ -62,10 +62,13 @@ int main() {
             << " downstream links, " << pg.destinations().size()
             << " destinations, " << pg.active_plist_count()
             << " Permission Lists\n";
-  for (const auto& [link, data] : pg.links()) {
+  // Each selected path records one (destination, next hop) pair on every
+  // link it crosses, so a link's pair count is its path counter (S4.3.2).
+  for (const auto& [link, plist] : pg.links()) {
+    const std::size_t paths = plist.dest_count();
     std::cout << "  " << names[link.from] << " -> " << names[link.to]
-              << "  (on " << data.counter << " selected path"
-              << (data.counter == 1 ? "" : "s") << ")\n";
+              << "  (on " << paths << " selected path"
+              << (paths == 1 ? "" : "s") << ")\n";
   }
 
   // 5. Policies at work: Core reaches Beta by climbing to its provider,

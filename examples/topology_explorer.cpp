@@ -6,6 +6,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "centaur/query.hpp"
 #include "eval/static_eval.hpp"
 #include "policy/valley_free.hpp"
 #include "topology/generator.hpp"
@@ -71,9 +72,9 @@ int main() {
   // 5. What its provider would hear (export filtering).
   std::size_t exportable = 0;
   for (topo::NodeId dest = 0; dest < g.num_nodes(); ++dest) {
-    const auto path = pg.derive_path(dest);
+    const core::PathResult path = core::query_path(pg, {dest});
     if (!path) continue;
-    if (policy::may_export(policy::classify_path(g, *path),
+    if (policy::may_export(policy::classify_path(g, path.path),
                            topo::Relationship::kProvider)) {
       ++exportable;
     }

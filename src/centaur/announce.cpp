@@ -24,7 +24,7 @@ ExportedView make_export_view(const PGraph& local,
     if (!dest_allowed || dest_allowed(d)) view.destinations.push_back(d);
   }
   view.links.reserve(local.num_links());
-  for (const auto& [link, data] : local.links()) {
+  for (const auto& [link, plist] : local.links()) {
     if (link_allowed && !link_allowed(link.from, link.to)) continue;
     const std::uint64_t key = pack_link(link.from, link.to);
     // BuildGraph records, in the (always-populated) permission entries, the
@@ -33,15 +33,15 @@ ExportedView make_export_view(const PGraph& local,
     // Permission Lists on the wire (S4.1).
     const bool multi_homed = local.multi_homed(link.to);
     if (!dest_allowed) {
-      view.links[key] = multi_homed ? data.plist : PermissionList{};
+      view.links[key] = multi_homed ? plist : PermissionList{};
       continue;
     }
     if (multi_homed) {
-      PermissionList filtered = data.plist.filtered(dest_allowed);
+      PermissionList filtered = plist.filtered(dest_allowed);
       if (filtered.empty()) continue;  // no allowed destination uses it
       view.links[key] = std::move(filtered);
     } else {
-      if (!data.plist.any_dest(dest_allowed)) continue;
+      if (!plist.any_dest(dest_allowed)) continue;
       view.links[key] = PermissionList{};
     }
   }
@@ -83,7 +83,10 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
     // A reset delta carries the whole view (first-contact snapshots and
     // session re-baselines), so its size is the graph's size: presize once
     // instead of rehashing while the tables grow.
-    g.reserve(delta.upserts.size());
+    const auto listed = static_cast<std::size_t>(std::count_if(
+        delta.upserts.begin(), delta.upserts.end(),
+        [](const auto& upsert) { return !upsert.second.empty(); }));
+    g.reserve(delta.upserts.size(), listed);
     report = nullptr;  // rebuilt from scratch: every head changed
   }
   for (const DirectedLink& link : delta.removes) {
@@ -97,13 +100,14 @@ bool apply_delta(PGraph& g, const GraphDelta& delta, NodeId self,
   for (const auto& [link, plist] : delta.upserts) {
     if (link.to == self) continue;  // loop elimination (Step 2)
     if (import_allowed && !import_allowed(link.from, link.to)) continue;
-    bool added = false;
-    LinkData& data = g.ensure_link(link.from, link.to, added);
-    if (!added && data.plist == plist) continue;
-    if (report != nullptr) {
-      report->note_upsert(link.to, data.plist, plist, added);
-    }
-    data.plist = plist;
+    // A new link is unlisted until set_plist lists it.
+    const bool added = g.add_link(link.from, link.to);
+    const PermissionList* stored = g.plist(link.from, link.to);
+    const PermissionList& before =
+        stored != nullptr ? *stored : pgraph_detail::kEmptyPlist;
+    if (!added && before == plist) continue;
+    if (report != nullptr) report->note_upsert(link.to, before, plist, added);
+    g.set_plist(link.from, link.to, plist);
     changed = true;
   }
   for (NodeId d : delta.dest_adds) {
@@ -121,7 +125,7 @@ void DeltaReport::note_upsert(NodeId head, const PermissionList& before,
   // An unlisted in-link is DerivePath's default at a multi-homed head, so
   // adding one, or flipping an in-link between listed and unlisted, can
   // redirect any walk through `head`.  (An added link's `before` is the
-  // fresh, empty payload.)
+  // empty list.)
   if (after.empty() || (!added && before.empty())) {
     coarse.push_back(head);
     return;

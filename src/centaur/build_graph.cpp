@@ -1,8 +1,9 @@
 #include "centaur/build_graph.hpp"
 
 #include <algorithm>
-#include <tuple>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace centaur::core {
@@ -14,14 +15,9 @@ void add_path_to_pgraph(PGraph& g, const Path& path) {
   const NodeId dest = path.back();
   g.mark_destination(dest);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId a = path[i];
-    const NodeId b = path[i + 1];
-    bool added = false;
-    LinkData& data = g.ensure_link(a, b, added);
-    ++data.counter;
     // Next hop of B toward dest (kNoNextHop when B is the destination).
     const NodeId next = (i + 2 < path.size()) ? path[i + 2] : kNoNextHop;
-    data.plist.add(dest, next);
+    g.add_permission(path[i], path[i + 1], dest, next);
   }
 }
 
@@ -33,16 +29,12 @@ void remove_path_from_pgraph(PGraph& g, const Path& path) {
   const NodeId dest = path.back();
   g.unmark_destination(dest);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId a = path[i];
-    const NodeId b = path[i + 1];
-    LinkData& data = g.link_data(a, b);
-    if (data.counter == 0) {
-      throw std::logic_error("remove_path_from_pgraph: counter underflow");
-    }
     const NodeId next = (i + 2 < path.size()) ? path[i + 2] : kNoNextHop;
-    data.plist.remove(dest, next);
-    if (--data.counter == 0) {
-      g.remove_link(a, b);
+    if (!g.withdraw_permission(path[i], path[i + 1], dest, next)) {
+      throw std::logic_error("remove_path_from_pgraph: link " +
+                             std::to_string(path[i]) + "->" +
+                             std::to_string(path[i + 1]) +
+                             " does not carry the path");
     }
   }
 }
@@ -59,9 +51,9 @@ std::size_t minimize_head(PGraph& g, NodeId b) {
   bool best_sentinel = false;
   std::size_t best_count = 0;
   for (NodeId a : g.parents(b)) {
-    const PermissionList& plist = g.link_data(a, b).plist;
-    const bool sentinel = plist.permits(b, kNoNextHop);
-    const std::size_t count = plist.dest_count();
+    const PermissionList* plist = g.plist(a, b);
+    const bool sentinel = plist != nullptr && plist->permits(b, kNoNextHop);
+    const std::size_t count = plist != nullptr ? plist->dest_count() : 0;
     const bool better = best_parent == topo::kInvalidNode ||
                         std::tuple(sentinel, count) >
                             std::tuple(best_sentinel, best_count);
@@ -71,17 +63,22 @@ std::size_t minimize_head(PGraph& g, NodeId b) {
       best_count = count;
     }
   }
+  // set_plist leaves the parents index alone, so the loop's range stays
+  // valid.
   std::size_t cleared = 0;
   for (NodeId a : g.parents(b)) {
-    PermissionList& plist = g.link_data(a, b).plist;
+    const PermissionList* plist = g.plist(a, b);
+    if (plist == nullptr) continue;
     if (a == best_parent) {
-      if (!plist.empty()) ++cleared;
-      plist = PermissionList{};
-    } else {
+      ++cleared;
+      g.set_plist(a, b, PermissionList{});
+    } else if (plist->permits(b, kNoNextHop)) {
       // The head-as-destination case is handled by the default link;
       // other in-links only need entries for traffic crossing the head
       // (redundant co-optimal sentinel entries would double-resolve).
-      plist.remove(b, kNoNextHop);
+      PermissionList trimmed = *plist;
+      trimmed.remove(b, kNoNextHop);
+      g.set_plist(a, b, trimmed);
     }
   }
   return cleared;
@@ -90,14 +87,12 @@ std::size_t minimize_head(PGraph& g, NodeId b) {
 }  // namespace
 
 std::size_t minimize_permission_lists(PGraph& g) {
-  // Collect multi-homed heads first (mutating payloads below does not
-  // change the link structure, but keep the walk simple).
+  // Collect the multi-homed heads first (ascending): editing lists below
+  // does not change the link structure.
   std::vector<NodeId> heads;
-  for (const auto& [link, data] : g.links()) {
-    if (g.multi_homed(link.to)) heads.push_back(link.to);
-  }
-  std::sort(heads.begin(), heads.end());
-  heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
+  g.parent_map().for_each([&heads](NodeId n, const PGraph::AdjList& ps) {
+    if (ps.size() > 1) heads.push_back(n);
+  });
   std::size_t cleared = 0;
   for (NodeId b : heads) cleared += minimize_head(g, b);
   return cleared;

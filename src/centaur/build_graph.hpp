@@ -1,5 +1,8 @@
 // BuildGraph (paper S4.2, Table 2): construct a local P-graph, with
-// Permission Lists and per-link path counters, from a selected path set.
+// Permission Lists, from a selected path set.  A destination has one
+// selected path and the path is loop-free, so each path records exactly one
+// (destination, next hop) pair per link: a local link's pair count is the
+// paper's per-link path counter (S4.3.2).
 #pragma once
 
 #include <stdexcept>
@@ -9,14 +12,15 @@
 namespace centaur::core {
 
 /// Incremental form of BuildGraph's inner loop: merges one selected path
-/// (root..dest) into `g` — links, counters, and permission entries.
+/// (root..dest) into `g` — its links and one permission entry per link.
 /// Precondition: path runs g.root()..dest.
 void add_path_to_pgraph(PGraph& g, const Path& path);
 
-/// Inverse of add_path_to_pgraph: decrements counters, removes the path's
-/// permission entries, unmarks the destination, and drops links whose
-/// counter reaches zero (S4.3.2's counter rule).  Precondition: the exact
-/// path was previously added and not yet removed.
+/// Inverse of add_path_to_pgraph: removes the path's permission entries,
+/// unmarks the destination, and drops every link whose list empties
+/// (S4.3.2's counter rule: no selected path uses it any more).  Throws
+/// std::logic_error when a link of the path does not carry its entry —
+/// the path was never added, or was removed already.
 void remove_path_from_pgraph(PGraph& g, const Path& path);
 
 /// Builds the local P-graph of `root` from its selected paths.
@@ -31,8 +35,8 @@ void remove_path_from_pgraph(PGraph& g, const Path& path);
 /// permission entry (D, nextHop(B)) is recorded; entries are *active* (shown
 /// to DerivePath and announcements) only while B is multi-homed, which also
 /// realises S4.3.2's rule that Permission Lists appear when a node becomes
-/// multi-homed and disappear when it reverts to single-homed.  Link counters
-/// are set to the number of selected paths traversing each link.
+/// multi-homed and disappear when it reverts to single-homed.  Each link's
+/// pair count is the number of selected paths traversing it.
 template <typename SelectedPaths>
 PGraph build_local_pgraph(NodeId root, const SelectedPaths& selected) {
   PGraph g(root);

@@ -429,15 +429,15 @@ void CentaurNode::flood() {
       touched_links_.end());
   for (const DirectedLink& link : touched_links_) {
     // Full view: every link of the local P-graph, Permission List on the
-    // wire only while the head is multi-homed.  One probe resolves both
-    // presence and payload (find_link_data; the seed did has_link +
-    // link_data).
+    // wire only while the head is multi-homed.  Every local link carries
+    // its paths' pairs (the checker's positive-counter rule), so one probe
+    // of the list table resolves both presence and payload.
     const PermissionList* full_now = nullptr;
-    const LinkData* data = local_.find_link_data(link.from, link.to);
-    const bool present = data != nullptr;
+    const PermissionList* listed = local_.plist(link.from, link.to);
+    const bool present = listed != nullptr;
     const bool multi = present && local_.multi_homed(link.to);
     if (present) {
-      full_now = multi ? &data->plist : &kEmptyPlist;
+      full_now = multi ? listed : &kEmptyPlist;
     }
     apply_link_transition(exported_full_, pending_full_, link, full_now);
 

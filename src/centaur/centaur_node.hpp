@@ -15,9 +15,10 @@
 //   remove per neighbor instead of per-destination withdrawals.
 //
 // The paper computes deltas with per-link counters that hit zero when no
-// selected path uses a link; we rebuild the local P-graph (counters
-// included) and diff consecutive exported views, which yields exactly the
-// same delta with less mutable state.
+// selected path uses a link; here a local link's counter is its Permission
+// List's pair count (one pair per selected path through it, build_graph.hpp),
+// and the exported views follow the links a selection change touched, which
+// yields exactly the same delta with less mutable state.
 #pragma once
 
 #include <cstdint>

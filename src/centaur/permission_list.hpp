@@ -72,7 +72,8 @@ class PermissionList {
   /// whose distribution the paper reports in Table 5.
   std::size_t entry_count() const;
 
-  /// Total destinations across all entries.
+  /// Total destinations across all entries: the number of (destination,
+  /// next hop) pairs.
   std::size_t dest_count() const { return pairs_.size(); }
 
   bool empty() const { return pairs_.empty(); }
@@ -191,7 +192,8 @@ class PermissionList {
   }
 
   // Packed (next_hop, dest) permissions, sorted ascending; most lists hold
-  // a handful of pairs, so they stay inline inside LinkData.
+  // a handful of pairs, so they stay inline in the P-graph's list-table
+  // slot.
   util::SmallVec<std::uint64_t, 3> pairs_;
 };
 

@@ -6,28 +6,29 @@
 // selected path set.  Links whose head is multi-homed carry Permission
 // Lists; destination nodes are explicitly marked (prefixes in practice).
 //
-// The two operations the paper defines are provided here and in
+// The two operations the paper defines are provided in query.hpp and
 // build_graph.hpp:
 //   * DerivePath (Table 1) — backtrack from a destination to the root under
-//     Permission-List restrictions; yields the unique policy-compliant path.
-//   * BuildGraph (Table 2) — construct a local P-graph (links, counters,
+//     Permission-List restrictions; yields the unique policy-compliant path
+//     (core::query_path).
+//   * BuildGraph (Table 2) — construct a local P-graph (links and
 //     Permission Lists) from a selected path set.
 //
-// Storage (DESIGN.md §5): links live in a flat open-addressing table keyed
-// by the packed 64-bit DirectedLink; the one adjacency index maps each
-// NodeId to its parents in a small-vector.  Hot call sites should prefer the
-// combined accessors (find_link_data, ensure_link) over has_link +
-// link_data pairs — one probe instead of two.
+// Storage (DESIGN.md §5.1): the parents index — each NodeId mapped to its
+// parents in a small-vector — is the only record of which links the graph
+// holds.  Permission Lists live in a flat table keyed by the packed 64-bit
+// DirectedLink that holds exactly the links whose list is non-empty; a link
+// without an entry is unlisted.  Only PGraph writes that table, so no
+// stored list is empty and every stored list belongs to a link.
 //
 // Note on pseudocode fidelity: Table 1 writes Permit(D, currentNode); the
 // Permission-List definition in S4.1 keys entries by the *next hop of the
 // multi-homed node on the permitted path*, which during backtracking is the
 // node we arrived from (kNoNextHop when the multi-homed node is the
-// destination itself).  derive_path implements that definition.
+// destination itself).  query_path implements that definition.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -60,33 +61,12 @@ constexpr DirectedLink unpack_link(std::uint64_t key) {
                       static_cast<NodeId>(key & 0xFFFFFFFFULL)};
 }
 
-struct DirectedLinkHash {
-  std::size_t operator()(const DirectedLink& l) const {
-    std::uint64_t x = pack_link(l.from, l.to);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 29;
-    return static_cast<std::size_t>(x);
-  }
-};
-
-/// Per-link P-graph payload.
-struct LinkData {
-  /// Permission entries for paths through this link.  Kept for every link
-  /// (BuildGraph records them as paths are inserted); they are *active* —
-  /// i.e. consulted by DerivePath and included in announcements — only
-  /// while the link head is multi-homed, per S4.1/S4.3.2.
-  PermissionList plist;
-  /// Number of selected paths traversing this link (paper S4.3.2: the link
-  /// is withdrawn when this drops to zero).
-  std::uint32_t counter = 0;
-};
-
 class PGraph {
  public:
-  /// Adjacency list: sorted ascending, inline up to 4 entries (the common
-  /// case — most P-graph nodes have a single parent).
-  using AdjList = util::SmallVec<NodeId, 4>;
+  /// Adjacency list: sorted ascending, inline up to 2 entries — the two
+  /// NodeIds fill the heap pointer's 8 bytes, and almost every P-graph node
+  /// has one or two parents.
+  using AdjList = util::SmallVec<NodeId, 2>;
   /// Parents storage: content-sized NodeMap.  Each node keeps one P-graph
   /// per neighbor, so the table must grow with the graph's links, not with
   /// the largest AS id.  Its home slot is the id's low bits: when the
@@ -96,43 +76,58 @@ class PGraph {
   /// "no parents".
   using AdjVec = util::NodeMap<AdjList>;
 
-  /// Flat link storage; iteration yields { DirectedLink-packed key, data }
-  /// items via LinkView below.
-  using LinkMap = util::FlatMap<std::uint64_t, LinkData>;
+  /// Permission Lists of the listed links, keyed by packed link: exactly
+  /// the links whose list is non-empty.
+  using PlistMap = util::FlatMap<std::uint64_t, PermissionList>;
 
-  /// Read-only iteration adapter over the link table that presents packed
-  /// keys as DirectedLink, so `for (const auto& [link, data] : g.links())`
-  /// keeps working.
+  /// Read-only iteration over every link with its Permission List (empty
+  /// when the link is unlisted), so `for (const auto& [link, plist] :
+  /// g.links())` walks the parents index.
   class LinkView {
    public:
     struct Item {
       DirectedLink first;
-      const LinkData& second;
+      const PermissionList& second;
     };
     class const_iterator {
      public:
-      explicit const_iterator(LinkMap::const_iterator it) : it_(it) {}
-      Item operator*() const {
-        const auto item = *it_;
-        return Item{unpack_link(item.first), item.second};
+      const_iterator(const PGraph* g, AdjVec::const_iterator slot)
+          : g_(g), slot_(slot) {
+        skip();
       }
+      Item operator*() const;
       const_iterator& operator++() {
-        ++it_;
+        ++index_;
+        skip();
         return *this;
       }
-      bool operator==(const const_iterator& o) const { return it_ == o.it_; }
-      bool operator!=(const const_iterator& o) const { return it_ != o.it_; }
+      bool operator==(const const_iterator& o) const {
+        return slot_ == o.slot_ && index_ == o.index_;
+      }
+      bool operator!=(const const_iterator& o) const { return !(*this == o); }
 
      private:
-      LinkMap::const_iterator it_;
+      /// Moves past emptied parents slots and finished parent lists.
+      void skip() {
+        const AdjVec::const_iterator end = g_->parents_.end();
+        while (slot_ != end && index_ >= (*slot_).second.size()) {
+          ++slot_;
+          index_ = 0;
+        }
+      }
+      const PGraph* g_;
+      AdjVec::const_iterator slot_;
+      std::size_t index_ = 0;
     };
-    explicit LinkView(const LinkMap& map) : map_(&map) {}
-    const_iterator begin() const { return const_iterator(map_->begin()); }
-    const_iterator end() const { return const_iterator(map_->end()); }
-    std::size_t size() const { return map_->size(); }
+    explicit LinkView(const PGraph& g) : g_(&g) {}
+    const_iterator begin() const {
+      return const_iterator(g_, g_->parents_.begin());
+    }
+    const_iterator end() const { return const_iterator(g_, g_->parents_.end()); }
+    std::size_t size() const { return g_->num_links(); }
 
    private:
-    const LinkMap* map_;
+    const PGraph* g_;
   };
 
   PGraph() = default;
@@ -141,36 +136,29 @@ class PGraph {
   NodeId root() const { return root_; }
   void reset(NodeId root);
 
-  /// Pre-sizes the link and parents tables for `links` links, so
-  /// assembling a graph of known size (a reset delta) does not pay a rehash
-  /// cascade.  Each link adds at most one parents key.
-  void reserve(std::size_t links) {
-    links_.reserve(links);
+  /// Pre-sizes the tables for `links` links, `listed` of them with a
+  /// non-empty Permission List, so assembling a graph of known size (a
+  /// reset delta) does not pay a rehash cascade.  Each link adds at most
+  /// one parents key.
+  void reserve(std::size_t links, std::size_t listed) {
     parents_.reserve(links);
+    if (listed > 0) plists_.reserve(listed);
   }
 
   // --- structure ---------------------------------------------------------
 
-  /// Inserts from->to.  Returns true if the link was new.
-  bool add_link(NodeId from, NodeId to) {
-    bool added = false;
-    ensure_link(from, to, added);
-    return added;
-  }
+  /// Inserts from->to, unlisted.  Returns true if the link was new.
+  bool add_link(NodeId from, NodeId to);
 
-  /// Inserts from->to if absent and returns its payload in either case —
-  /// the single-probe fusion of add_link + link_data.  `added` reports
-  /// whether the link was new.
-  LinkData& ensure_link(NodeId from, NodeId to, bool& added);
-
-  /// Removes from->to and its payload.  Returns true if present.
+  /// Removes from->to and its Permission List.  Returns true if present.
   bool remove_link(NodeId from, NodeId to);
 
   bool has_link(NodeId from, NodeId to) const {
-    return links_.count(pack_link(from, to)) > 0;
+    const AdjList* p = parents_.find(to);
+    return p != nullptr && util::sorted_contains(*p, from);
   }
 
-  std::size_t num_links() const { return links_.size(); }
+  std::size_t num_links() const { return num_links_; }
 
   std::size_t in_degree(NodeId n) const {
     const AdjList* p = parents_.find(n);
@@ -204,78 +192,59 @@ class PGraph {
   }
   const DestList& destinations() const { return destinations_; }
 
-  // --- per-link payload ----------------------------------------------------
+  // --- Permission Lists ---------------------------------------------------
 
-  /// Payload pointer, or nullptr when the link is absent — the single-probe
-  /// replacement for has_link + link_data call pairs.
-  LinkData* find_link_data(NodeId from, NodeId to) {
-    return links_.find(pack_link(from, to));
-  }
-  const LinkData* find_link_data(NodeId from, NodeId to) const {
-    return links_.find(pack_link(from, to));
+  /// from->to's Permission List, or nullptr when the link is unlisted or
+  /// absent.  On a local graph every link is listed: BuildGraph records a
+  /// (destination, next hop) pair per selected path through it.
+  const PermissionList* plist(NodeId from, NodeId to) const {
+    return plists_.find(pack_link(from, to));
   }
 
-  /// Payload accessors; the link must exist (throws std::out_of_range).
-  LinkData& link_data(NodeId from, NodeId to);
-  const LinkData& link_data(NodeId from, NodeId to) const;
+  /// Replaces from->to's list; an empty `list` leaves the link unlisted.
+  /// The link must exist (std::out_of_range otherwise).
+  void set_plist(NodeId from, NodeId to, const PermissionList& list);
+
+  /// BuildGraph's per-link step: permits (dest, next_hop) on from->to,
+  /// inserting the link if absent.  Returns true if the link was new.
+  bool add_permission(NodeId from, NodeId to, NodeId dest, NodeId next_hop);
+
+  /// Inverse of add_permission: drops (dest, next_hop) from from->to's
+  /// list and, once the list is empty, the link itself — on a local graph
+  /// a link's pair count is the number of selected paths through it, so
+  /// this is the paper's counter rule (S4.3.2).  Returns false, changing
+  /// nothing, when the link does not carry the pair.
+  bool withdraw_permission(NodeId from, NodeId to, NodeId dest,
+                           NodeId next_hop);
 
   /// A link's Permission List is active iff its head is multi-homed.
   bool plist_active(NodeId from, NodeId to) const {
-    if (!multi_homed(to)) return false;
-    const LinkData* data = find_link_data(from, to);
-    return data != nullptr && !data->plist.empty();
+    return multi_homed(to) && plist(from, to) != nullptr;
   }
 
   /// Number of links with an active Permission List (Table 4 metric).
   std::size_t active_plist_count() const;
 
-  // --- DerivePath (Table 1) -------------------------------------------------
-
-  /// DEPRECATED (kept as a thin wrapper so existing callers and the seed
-  /// tests compile unchanged): prefer `core::query_path` in
-  /// centaur/query.hpp — the consolidated PathQuery/PathResult surface.
-  /// See DESIGN.md §14.3 for the migration guide.
-  ///
-  /// Derives the unique policy-compliant path root..dest, or nullopt if no
-  /// permitted parent chain reaches the root.  For dest == root returns
-  /// {root} (the unified self-destination contract shared by every query
-  /// entry point).  Throws std::logic_error if the backtrace cycles
-  /// (corrupt graph).
-  ///
-  /// If `visited` is non-null it receives every node the backtracking walk
-  /// examined (including `dest` and, on failure, the blocking node).  The
-  /// walk's outcome is a pure function of the in-links of these nodes, so
-  /// callers can use the set for precise invalidation: a graph change that
-  /// touches none of them cannot change this derivation.
-  std::optional<Path> derive_path(NodeId dest,
-                                  std::vector<NodeId>* visited = nullptr) const;
-
-  /// DEPRECATED (thin wrapper, same contract as derive_path): prefer
-  /// `core::query_path_into` in centaur/query.hpp.
-  ///
-  /// Allocation-free derive_path: writes the path into `out` (reusing its
-  /// capacity) and returns true, or returns false leaving `out` empty.
-  /// Refresh loops call this once per dirty destination, so the fresh-Path
-  /// allocation of the optional-returning form is the dominant cost there.
-  bool derive_path_into(NodeId dest, Path& out,
-                        std::vector<NodeId>* visited = nullptr) const;
-
   // --- iteration -----------------------------------------------------------
 
-  /// All links with their payloads (unordered; sort keys if a canonical
-  /// order is needed).
-  LinkView links() const { return LinkView(links_); }
+  /// All links with their Permission Lists, in no specified order (sort
+  /// the links if a canonical order is needed).
+  LinkView links() const { return LinkView(*this); }
 
   /// Whole parents index, keyed by NodeId, values sorted ascending;
   /// absent/empty values are nodes without parents (iterate with
   /// AdjVec::for_each — ascending id order whatever the layout).  It is the
-  /// graph's only adjacency index: the invariant checker (src/check)
-  /// cross-validates it against links() and derives children from links()
-  /// itself; protocol code should use parents().
+  /// graph's only record of its links: the invariant checker (src/check)
+  /// derives children from it and checks the list table against it;
+  /// protocol code should use parents().
   const AdjVec& parent_map() const { return parents_; }
 
-  /// Equality of structure, destination marks, and Permission Lists
-  /// (counters are local bookkeeping and excluded).
+  /// The stored Permission Lists, for the invariant checker; protocol code
+  /// should use plist().
+  const PlistMap& plist_map() const { return plists_; }
+
+  /// Equality of structure (an emptied parents slot counts as absent),
+  /// destination marks, and Permission Lists.
   bool operator==(const PGraph& other) const;
 
  private:
@@ -284,9 +253,13 @@ class PGraph {
   // can be exercised against broken graphs.
   friend struct PGraphCorruptor;
 
+  /// Drops from->to from the parents index alone.
+  bool unlink(NodeId from, NodeId to);
+
   NodeId root_ = topo::kInvalidNode;
-  LinkMap links_;
-  AdjVec parents_;  // sorted values, keyed by NodeId
+  AdjVec parents_;  // sorted values, keyed by NodeId; the link set
+  PlistMap plists_;  // non-empty lists only, each on a link in parents_
+  std::size_t num_links_ = 0;
   DestList destinations_;  // sorted ascending
 };
 
@@ -295,6 +268,8 @@ namespace pgraph_detail {
 /// variable avoids the per-call thread-safe-init guard a function-local
 /// static would re-check on every parents() miss.
 inline const PGraph::AdjList kEmptyAdjList{};
+/// What links() yields for an unlisted link.
+inline const PermissionList kEmptyPlist{};
 [[noreturn]] void throw_missing_link(NodeId from, NodeId to);
 }  // namespace pgraph_detail
 
@@ -305,23 +280,27 @@ inline const PGraph::AdjList& PGraph::parents(NodeId n) const {
   return p != nullptr ? *p : pgraph_detail::kEmptyAdjList;
 }
 
-inline LinkData& PGraph::ensure_link(NodeId from, NodeId to, bool& added) {
+inline bool PGraph::add_link(NodeId from, NodeId to) {
   if (from == to) throw std::invalid_argument("PGraph::add_link: self-loop");
-  LinkData& data = links_.ensure(pack_link(from, to), added);
-  if (added) util::sorted_insert(parents_.ensure(to), from);
-  return data;
+  if (!util::sorted_insert(parents_.ensure(to), from)) return false;
+  ++num_links_;
+  return true;
 }
 
-inline LinkData& PGraph::link_data(NodeId from, NodeId to) {
-  LinkData* data = find_link_data(from, to);
-  if (data == nullptr) pgraph_detail::throw_missing_link(from, to);
-  return *data;
+inline bool PGraph::add_permission(NodeId from, NodeId to, NodeId dest,
+                                   NodeId next_hop) {
+  const bool added = add_link(from, to);
+  plists_[pack_link(from, to)].add(dest, next_hop);
+  return added;
 }
 
-inline const LinkData& PGraph::link_data(NodeId from, NodeId to) const {
-  const LinkData* data = find_link_data(from, to);
-  if (data == nullptr) pgraph_detail::throw_missing_link(from, to);
-  return *data;
+inline PGraph::LinkView::Item PGraph::LinkView::const_iterator::operator*()
+    const {
+  const auto [to, ps] = *slot_;
+  const NodeId from = ps[index_];
+  const PermissionList* list = g_->plist(from, to);
+  return Item{DirectedLink{from, to},
+              list != nullptr ? *list : pgraph_detail::kEmptyPlist};
 }
 
 }  // namespace centaur::core

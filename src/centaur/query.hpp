@@ -1,10 +1,7 @@
 // Unified path-query API over P-graphs (DESIGN.md §14.3).
 //
-// Before this header, callers picked between `PGraph::derive_path`
-// (allocating, std::optional) and `PGraph::derive_path_into` (buffer reuse)
-// and re-implemented the usability test ("does the derived path loop
-// through me?") at every call site.  PathQuery/PathResult consolidate that
-// surface:
+// PathQuery/PathResult are the one DerivePath surface, shared by the
+// protocol, the serving plane and the checker:
 //
 //   * query_path_into — buffer-reuse form (the hot refresh loops).
 //   * query_path      — allocating convenience form.
@@ -28,8 +25,7 @@
 //                               // or more parents, so a view may define
 //                               // it only at such multi-homed heads
 //
-// Contract (uniform across every entry point — the old pair of functions
-// is now a thin wrapper over this walk):
+// Contract (uniform across every entry point):
 //   * dest == root()  ->  kFound with the trivial one-node path {root}.
 //   * unreachable / ambiguous-fallback -> kUnreachable, `out` left empty.
 //   * a backtrace cycle throws std::logic_error (corrupt graph).
@@ -94,8 +90,7 @@ struct PGraphView {
   NodeId root() const { return graph->root(); }
   const PGraph::AdjList& parents(NodeId n) const { return graph->parents(n); }
   const PermissionList* plist(NodeId from, NodeId to) const {
-    const LinkData* data = graph->find_link_data(from, to);
-    return data != nullptr ? &data->plist : nullptr;
+    return graph->plist(from, to);
   }
 };
 

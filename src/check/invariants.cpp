@@ -77,15 +77,10 @@ bool revisits_a_node(const Path& p) {
   return unique.size() != p.size();
 }
 
-/// Every node the graph mentions: root, link endpoints, parents-index keys
-/// and values.
+/// Every node the graph mentions: the root and every link endpoint.
 std::set<NodeId> all_nodes(const PGraph& g) {
   std::set<NodeId> nodes;
   if (g.root() != topo::kInvalidNode) nodes.insert(g.root());
-  for (const auto& [link, data] : g.links()) {
-    nodes.insert(link.from);
-    nodes.insert(link.to);
-  }
   g.parent_map().for_each([&nodes](NodeId n, const PGraph::AdjList& adj) {
     if (adj.empty()) return;
     nodes.insert(n);
@@ -94,14 +89,16 @@ std::set<NodeId> all_nodes(const PGraph& g) {
   return nodes;
 }
 
-/// Children of every node, derived from links(): the graph keeps only a
-/// parents index.  Sorted by (from, to), each node's out-links form one
+/// Children of every node, derived from the parents index, the graph's
+/// only adjacency.  Sorted by (from, to), each node's out-links form one
 /// run ascending by head, so traversals visit children in ascending order.
 class ChildIndex {
  public:
   explicit ChildIndex(const PGraph& g) {
     links_.reserve(g.num_links());
-    for (const auto& [link, data] : g.links()) links_.push_back(link);
+    for (const auto& [to, parents] : g.parent_map()) {
+      for (const NodeId from : parents) links_.push_back({from, to});
+    }
     std::sort(links_.begin(), links_.end());
   }
 
@@ -120,26 +117,42 @@ class ChildIndex {
   std::vector<DirectedLink> links_;
 };
 
-/// Checks the parents index against links() (no dangling entries) and for
-/// sorted, duplicate-free values.
-void check_parent_map(const PGraph& g, std::vector<Violation>& out) {
+/// Checks the parents index — the graph's link set — for sorted,
+/// duplicate-free values that the kept link count accounts for, and the
+/// list table against it: no stored list is empty, and none sits on a link
+/// missing from the parents index.
+void check_links(const PGraph& g, std::vector<Violation>& out) {
+  std::size_t links = 0;
   g.parent_map().for_each([&](NodeId n, const PGraph::AdjList& adj) {
     // Empty values are legal: a removed link empties its head's list in
     // place, leaving a node without parents.
-    if (adj.empty()) return;
+    links += adj.size();
     if (!std::is_sorted(adj.begin(), adj.end()) ||
         std::adjacent_find(adj.begin(), adj.end()) != adj.end()) {
       report(out, Invariant::kAdjacencySorted,
              "parents[" + std::to_string(n) + "] is not sorted/duplicate-free");
     }
-    for (const NodeId from : adj) {
-      if (!g.has_link(from, n)) {
-        report(out, Invariant::kAdjacency,
-               "parents[" + std::to_string(n) + "] lists dangling link " +
-                   link_str(from, n));
-      }
-    }
   });
+  if (links != g.num_links()) {
+    report(out, Invariant::kAdjacency,
+           "num_links() is " + std::to_string(g.num_links()) +
+               " but the parents index holds " + std::to_string(links) +
+               " links");
+  }
+  for (const auto& [key, plist] : g.plist_map()) {
+    const DirectedLink link = core::unpack_link(key);
+    if (plist.empty()) {
+      report(out, Invariant::kAdjacency,
+             "link " + link_str(link.from, link.to) +
+                 " stores an empty Permission List");
+    }
+    if (!g.has_link(link.from, link.to)) {
+      report(out, Invariant::kAdjacency,
+             "Permission List stored for " + link_str(link.from, link.to) +
+                 ", a link missing from parents[" + std::to_string(link.to) +
+                 "]");
+    }
+  }
 }
 
 /// Iterative three-color DFS over child links; reports one witness link per
@@ -224,20 +237,15 @@ std::vector<Violation> check_pgraph(const PGraph& g,
                std::to_string(g.in_degree(g.root())) + " parent link(s)");
   }
 
-  // links_ -> parents index direction.
-  for (const auto& [link, data] : g.links()) {
-    const PGraph::AdjList& ps = g.parents(link.to);
-    if (!std::binary_search(ps.begin(), ps.end(), link.from)) {
-      report(out, Invariant::kAdjacency,
-             "link " + link_str(link.from, link.to) + " missing from parents[" +
-                 std::to_string(link.to) + "]");
-    }
-    if (options.require_positive_counters && data.counter == 0) {
+  check_links(g, out);
+  for (const auto& [link, plist] : g.links()) {
+    if (options.require_positive_counters && plist.empty()) {
       report(out, Invariant::kCounter,
              "stored link " + link_str(link.from, link.to) +
-                 " has counter 0 (should have been withdrawn)");
+                 " carries no (destination, next hop) pair (should have "
+                 "been withdrawn)");
     }
-    if (options.plists_imply_multihomed && !data.plist.empty() &&
+    if (options.plists_imply_multihomed && !plist.empty() &&
         !g.multi_homed(link.to)) {
       report(out, Invariant::kPlistActivation,
              "link " + link_str(link.from, link.to) +
@@ -245,9 +253,6 @@ std::vector<Violation> check_pgraph(const PGraph& g,
                  std::to_string(link.to) + " is single-homed");
     }
   }
-
-  // Parents index -> links_ direction (dangling entries), plus sortedness.
-  check_parent_map(g, out);
 
   if (options.require_acyclic || options.require_root_reachable) {
     const std::set<NodeId> nodes = all_nodes(g);
@@ -276,35 +281,36 @@ std::vector<Violation> check_counters_against(const PGraph& g,
   std::vector<Violation> out;
 
   // Expected per-link traversal counts — the multiset of links over the
-  // selected path set (S4.3.2).
-  std::map<DirectedLink, std::uint32_t> expected;
+  // selected path set (S4.3.2).  A link's counter is its Permission List's
+  // pair count: each selected path through it records one pair.
+  std::map<DirectedLink, std::size_t> expected;
   for (const auto& [dest, path] : selected) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       ++expected[DirectedLink{path[i], path[i + 1]}];
     }
   }
   for (const auto& [link, count] : expected) {
-    const core::LinkData* data = g.find_link_data(link.from, link.to);
-    if (data == nullptr) {
+    if (!g.has_link(link.from, link.to)) {
       report(out, Invariant::kCounter,
              "selected paths traverse " + link_str(link.from, link.to) +
                  " but the link is not in the P-graph");
       continue;
     }
-    const std::uint32_t stored = data->counter;
-    if (stored != count) {
+    const core::PermissionList* plist = g.plist(link.from, link.to);
+    const std::size_t pairs = plist != nullptr ? plist->dest_count() : 0;
+    if (pairs != count) {
       report(out, Invariant::kCounter,
-             "link " + link_str(link.from, link.to) + " counter is " +
-                 std::to_string(stored) + ", " + std::to_string(count) +
+             "link " + link_str(link.from, link.to) + " carries " +
+                 std::to_string(pairs) + " pair(s), " + std::to_string(count) +
                  " selected path(s) traverse it");
     }
   }
-  for (const auto& [link, data] : g.links()) {
+  for (const auto& [link, plist] : g.links()) {
     if (!expected.count(link)) {
       report(out, Invariant::kCounter,
-             "link " + link_str(link.from, link.to) + " (counter " +
-                 std::to_string(data.counter) +
-                 ") is traversed by no selected path");
+             "link " + link_str(link.from, link.to) + " (" +
+                 std::to_string(plist.dest_count()) +
+                 " pair(s)) is traversed by no selected path");
     }
   }
 
@@ -408,8 +414,7 @@ std::vector<Violation> check_centaur_node(const core::CentaurNode& node) {
 
   // BuildGraph-rebuild equivalence: the incrementally maintained local
   // P-graph must match a from-scratch BuildGraph over the same path set
-  // (structure, destination marks, Permission Lists; counters are covered
-  // by check_counters_against above).
+  // (structure, destination marks, Permission Lists).
   try {
     const PGraph rebuilt = core::build_local_pgraph(local.root(), selected);
     if (!(rebuilt == local)) {

@@ -1,8 +1,9 @@
 // Protocol invariant checker (analysis layer).
 //
 // Centaur's correctness rests on structural invariants the paper states but
-// the protocol code never re-verifies: per-link counters equal the number of
-// selected paths traversing the link (S4.3.2), Permission Lists are active
+// the protocol code never re-verifies: per-link counters — a local link's
+// Permission-List pair count — equal the number of selected paths
+// traversing the link (S4.3.2), Permission Lists are active
 // exactly on links whose head is multi-homed (S4.1/S4.3.2), every selected
 // and derived path is loop-free so DerivePath (Table 1) terminates, and the
 // selected table stays consistent with the per-neighbor derived caches.
@@ -32,12 +33,12 @@ using topo::Path;
 enum class Invariant {
   kRootValid,        ///< non-empty graph must have a valid root
   kRootNoParents,    ///< no link may point at the P-graph root
-  kAdjacency,        ///< links() and the parents index must agree exactly
+  kAdjacency,        ///< link count and list table match the parents index
   kAdjacencySorted,  ///< parent lists sorted ascending, duplicate-free
   kAcyclic,          ///< P-graph must be a DAG (DerivePath termination)
   kRootReachable,    ///< every node must reach the root via parent links
   kPlistActivation,  ///< plist only on links whose head is multi-homed
-  kCounter,          ///< link counters == selected paths traversing the link
+  kCounter,          ///< link pair counts == selected paths traversing it
   kDestinationMark,  ///< destination marks == selected path endpoints
   kLoopFree,         ///< selected/derived paths must not revisit a node
   kLocalRebuild,     ///< local P-graph == BuildGraph(selected path set)
@@ -80,9 +81,10 @@ struct PGraphCheckOptions {
   /// graphs: loop elimination (announce.hpp apply_delta Step 2) drops links
   /// pointing at the importer, which may orphan a downstream fragment.
   bool require_root_reachable = true;
-  /// Require counter >= 1 on every stored link (S4.3.2: a link is withdrawn
-  /// exactly when its counter drops to zero).  False for received graphs —
-  /// counters are local bookkeeping and never cross the wire.
+  /// Require a non-empty Permission List on every stored link: a local
+  /// link's pair count is its counter, and S4.3.2 withdraws a link exactly
+  /// when its counter drops to zero.  False for received graphs, whose
+  /// lists are the announced ones (empty at single-homed heads).
   bool require_positive_counters = true;
   /// Forbid a non-empty Permission List on a link whose head is
   /// single-homed — the wire-form rule (S4.1: lists exist only at
@@ -115,14 +117,15 @@ inline PGraphCheckOptions wire_form_options() {
   return o;
 }
 
-/// Checks one P-graph's structural invariants: links_ <-> parents_
-/// consistency, sorted duplicate-free parent lists, acyclicity
-/// (iterative DFS), root reachability, plist activation, and positive
-/// counters (the last four per `options`).  Returns every breach found.
+/// Checks one P-graph's structural invariants: sorted duplicate-free parent
+/// lists that the link count accounts for, a list table holding only
+/// non-empty lists of links in the parents index, acyclicity (iterative
+/// DFS), root reachability, plist activation, and positive counters (the
+/// last four per `options`).  Returns every breach found.
 std::vector<Violation> check_pgraph(const PGraph& g,
                                     const PGraphCheckOptions& options = {});
 
-/// Checks that `g`'s per-link counters equal the number of paths in
+/// Checks that `g`'s per-link pair counts equal the number of paths in
 /// `selected` traversing each link (S4.3.2), that no stored link is unused
 /// by every selected path, that destination marks match the selected path
 /// endpoints exactly, and that every selected path is loop-free.

@@ -20,9 +20,8 @@ namespace {
 
 /// Merges destination `dest`'s complete co-optimal path DAG (as seen from
 /// the P-graph root) into `pg`: every link on any maximally-preferred path,
-/// counters, and the per-dest-next permission entries of Table 2
-/// generalised to path sets (one entry per co-optimal next hop of the link
-/// head).
+/// with the per-dest-next permission entries of Table 2 generalised to path
+/// sets (one entry per co-optimal next hop of the link head).
 void add_dag_to_pgraph(PGraph& pg, const policy::MultipathRoutes& mp,
                        NodeId dest) {
   const NodeId root = pg.root();
@@ -34,14 +33,13 @@ void add_dag_to_pgraph(PGraph& pg, const policy::MultipathRoutes& mp,
     const NodeId b = stack.back();
     stack.pop_back();
     for (NodeId nh : mp.at(b).next_hops) {
-      pg.add_link(b, nh);
-      core::LinkData& data = pg.link_data(b, nh);
-      ++data.counter;
+      // A next hop other than dest reaches it, so it has onward hops: every
+      // link gets at least one entry.
       if (nh == dest) {
-        data.plist.add(dest, core::kNoNextHop);
+        pg.add_permission(b, nh, dest, core::kNoNextHop);
       } else {
         for (NodeId onward : mp.at(nh).next_hops) {
-          data.plist.add(dest, onward);
+          pg.add_permission(b, nh, dest, onward);
         }
       }
       if (nh != dest && visited.insert(nh).second) stack.push_back(nh);
@@ -115,10 +113,10 @@ PGraphStats compute_pgraph_stats(const AsGraph& g, std::size_t vantage_count,
     }
     links_sum += static_cast<double>(pg.num_links());
     std::size_t plists = 0;
-    for (const auto& [link, data] : pg.links()) {
-      if (!pg.multi_homed(link.to) || data.plist.empty()) continue;
+    for (const auto& [link, plist] : pg.links()) {
+      if (!pg.multi_homed(link.to) || plist.empty()) continue;
       ++plists;
-      const std::size_t entries = data.plist.entry_count();
+      const std::size_t entries = plist.entry_count();
       if (entries == 1) {
         ++e1;
       } else if (entries == 2) {
@@ -129,9 +127,9 @@ PGraphStats compute_pgraph_stats(const AsGraph& g, std::size_t vantage_count,
         ++egt3;
       }
       stats.plist_bytes_raw.add(
-          static_cast<double>(data.plist.byte_size(false)));
+          static_cast<double>(plist.byte_size(false)));
       stats.plist_bytes_bloom.add(
-          static_cast<double>(data.plist.byte_size(true)));
+          static_cast<double>(plist.byte_size(true)));
     }
     plists_sum += static_cast<double>(plists);
   }

@@ -154,9 +154,9 @@ struct PathCopy {
       auto* sn = new SnapNode{ps, {}};
       sn->plists.reserve(ps.size());
       for (const NodeId p : ps) {
-        const core::LinkData* data = local.find_link_data(p, n);
-        sn->plists.push_back(data != nullptr ? data->plist
-                                             : core::PermissionList{});
+        const core::PermissionList* plist = local.plist(p, n);
+        sn->plists.push_back(plist != nullptr ? *plist
+                                              : core::PermissionList{});
       }
       out[count++].multi = sn;
     }

@@ -18,8 +18,9 @@
 // must treat an empty value like an absent one), so there are no
 // tombstones.  `Key(-1)` (topo::kInvalidNode) marks empty slots: find()
 // never reports it and ensure() rejects it.  for_each visits ids ascending,
-// so the layout never leaks into results.  V must be default-constructible
-// and movable.
+// so the layout never leaks into results; begin()/end() walk the layout
+// itself, for callers whose result does not depend on the order.  V must be
+// default-constructible and movable.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +38,16 @@ class NodeMap {
  public:
   using Key = std::uint32_t;
   static constexpr Key kEmptyKey = static_cast<Key>(-1);
+
+ private:
+  struct Slot {
+    Key key = kEmptyKey;
+    V value{};
+  };
+
+ public:
+  /// Bytes per slot (capacity x kSlotBytes is the table's footprint).
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
   /// Ids with a slot (values emptied in place included).
   std::size_t size() const { return size_; }
@@ -84,6 +95,42 @@ class NodeMap {
     size_ = 0;
   }
 
+  /// Layout-order iteration over (id, value) pairs, emptied values too.
+  /// The order is a deterministic function of the insert history but not
+  /// ascending: use for_each wherever the order can reach a result.
+  struct Item {
+    Key first;
+    const V& second;
+  };
+  class const_iterator {
+   public:
+    const_iterator(const Slot* slot, const Slot* end) : slot_(slot), end_(end) {
+      skip();
+    }
+    Item operator*() const { return Item{slot_->key, slot_->value}; }
+    const_iterator& operator++() {
+      ++slot_;
+      skip();
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return slot_ == o.slot_; }
+    bool operator!=(const const_iterator& o) const { return slot_ != o.slot_; }
+
+   private:
+    void skip() {
+      while (slot_ != end_ && slot_->key == kEmptyKey) ++slot_;
+    }
+    const Slot* slot_;
+    const Slot* end_;
+  };
+  const_iterator begin() const {
+    return const_iterator(slots_.data(), slots_.data() + slots_.size());
+  }
+  const_iterator end() const {
+    const Slot* e = slots_.data() + slots_.size();
+    return const_iterator(e, e);
+  }
+
   /// Visits (id, value) pairs in ascending id order, emptied values too.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -104,11 +151,6 @@ class NodeMap {
   }
 
  private:
-  struct Slot {
-    Key key = kEmptyKey;
-    V value{};
-  };
-
   static constexpr std::size_t kMinCapacity = 16;
 
   std::size_t home(Key id) const { return (id ^ (id >> shift_)) & mask_; }

@@ -137,14 +137,20 @@ TEST(ApplyDelta, ReconstructsTheExportedView) {
   for (const auto& [key, plist] : v.links) {
     const DirectedLink link = unpack_link(key);
     ASSERT_TRUE(g.has_link(link.from, link.to));
-    EXPECT_TRUE(g.link_data(link.from, link.to).plist == plist);
+    // Only the non-empty lists are stored.
+    const PermissionList* stored = g.plist(link.from, link.to);
+    EXPECT_EQ(stored != nullptr, !plist.empty());
+    if (stored != nullptr) {
+      EXPECT_EQ(*stored, plist);
+    }
   }
+  EXPECT_EQ(g.plist_map().size(), 2u);  // the in-links of multi-homed D
   EXPECT_EQ(std::vector<NodeId>(g.destinations().begin(),
                                 g.destinations().end()),
             dest_list(v));
   // The assembled graph must reproduce the creator's paths.
-  EXPECT_EQ(*g.derive_path(D), (Path{C, A, B, D}));
-  EXPECT_EQ(*g.derive_path(Dp), (Path{C, D, Dp}));
+  EXPECT_EQ(query_path(g, {D}).path, (Path{C, A, B, D}));
+  EXPECT_EQ(query_path(g, {Dp}).path, (Path{C, D, Dp}));
 }
 
 TEST(ApplyDelta, DropsLinksPointingAtSelf) {
@@ -252,10 +258,18 @@ TEST(ApplyDelta, UpsertReplacesPlist) {
   p2.add(3, 4);
   d2.upserts.emplace_back(DirectedLink{A, B}, p2);
   EXPECT_TRUE(apply_delta(g, d2, 7));
-  EXPECT_FALSE(g.link_data(A, B).plist.permits(1, 2));
-  EXPECT_TRUE(g.link_data(A, B).plist.permits(3, 4));
+  EXPECT_FALSE(g.plist(A, B)->permits(1, 2));
+  EXPECT_TRUE(g.plist(A, B)->permits(3, 4));
   // Same upsert again: no change.
   EXPECT_FALSE(apply_delta(g, d2, 7));
+  // An empty list unlists the link, which stays.
+  GraphDelta d3;
+  d3.upserts.emplace_back(DirectedLink{A, B}, PermissionList{});
+  EXPECT_TRUE(apply_delta(g, d3, 7));
+  EXPECT_TRUE(g.has_link(A, B));
+  EXPECT_EQ(g.plist(A, B), nullptr);
+  EXPECT_TRUE(g.plist_map().empty());
+  EXPECT_FALSE(apply_delta(g, d3, 7));
 }
 
 TEST(ApplyDelta, SameLinkUpsertedAndRemovedInOneDelta) {
@@ -276,8 +290,8 @@ TEST(ApplyDelta, SameLinkUpsertedAndRemovedInOneDelta) {
   d.upserts.emplace_back(DirectedLink{A, B}, new_plist);
   EXPECT_TRUE(apply_delta(g, d, 7));
   ASSERT_TRUE(g.has_link(A, B));
-  EXPECT_TRUE(g.link_data(A, B).plist.permits(3, 4));
-  EXPECT_FALSE(g.link_data(A, B).plist.permits(1, 2));
+  EXPECT_TRUE(g.plist(A, B)->permits(3, 4));
+  EXPECT_FALSE(g.plist(A, B)->permits(1, 2));
 }
 
 // ------------------------------------ delta report (DESIGN.md §12.1) ---
@@ -295,12 +309,11 @@ using Named = std::vector<std::pair<NodeId, NodeId>>;
 // Head 4 is multi-homed with two listed in-links; head 5 is single-homed.
 PGraph report_base() {
   PGraph g(0);
-  bool added = false;
-  for (NodeId n = 1; n <= 3; ++n) g.ensure_link(0, n, added);
-  g.ensure_link(1, 4, added).plist = plist_of({{4, kNoNextHop}});
-  g.ensure_link(2, 4, added).plist = plist_of({{6, 6}});
-  g.ensure_link(1, 5, added);
-  g.ensure_link(4, 6, added);
+  for (NodeId n = 1; n <= 3; ++n) g.add_link(0, n);
+  g.add_permission(1, 4, 4, kNoNextHop);
+  g.add_permission(2, 4, 6, 6);
+  g.add_link(1, 5);
+  g.add_link(4, 6);
   for (NodeId d = 4; d <= 6; ++d) g.mark_destination(d);
   return g;
 }
@@ -387,6 +400,172 @@ TEST(DeltaReport, SkippedUpsertsAndResetsReportNothing) {
   EXPECT_TRUE(r.named.empty());
 }
 
+/// Random P-graphs and random deltas against them, drawn from one seeded
+/// stream that the two properties below share.  Ids 0..kNodes-1 with root
+/// 0; links only run from a lower to a higher id, so walks never cycle.
+/// kSelf is the importer (links into it are dropped); the import filter
+/// rejects every link leaving kFiltered.
+class RandomDeltas {
+ public:
+  static constexpr NodeId kNodes = 10;
+  static constexpr NodeId kSelf = kNodes;
+  static constexpr NodeId kFiltered = 6;
+  static constexpr int kTrials = 1000;
+  static constexpr int kSteps = 4;
+
+  const LinkFilter import_filter = [](NodeId from, NodeId) {
+    return from != kFiltered;
+  };
+
+  /// A random starting graph, as a reset delta (apply it unfiltered).
+  GraphDelta initial() {
+    GraphDelta delta;
+    delta.reset = true;
+    std::set<DirectedLink> seen;
+    for (NodeId head = 1; head < kNodes; ++head) {
+      const NodeId in_degree = std::min<NodeId>(pick(0, 3), head);
+      for (NodeId i = 0; i < in_degree; ++i) {
+        const DirectedLink link{pick(0, head - 1), head};
+        if (seen.insert(link).second) {
+          delta.upserts.emplace_back(link, random_link_plist(head));
+        }
+      }
+    }
+    for (NodeId d = 1; d < kNodes; ++d) {
+      if (chance(0.7)) delta.dest_adds.push_back(d);
+    }
+    return delta;
+  }
+
+  /// A random delta against `g`.
+  GraphDelta next(const PGraph& g) {
+    // Existing links, sorted (links() iterates in no fixed order).
+    std::vector<std::pair<DirectedLink, PermissionList>> links;
+    for (const auto& [link, plist] : g.links()) links.emplace_back(link, plist);
+    std::sort(links.begin(), links.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const auto some_link = [&]() {
+      return links[pick(0, static_cast<NodeId>(links.size() - 1))];
+    };
+    const auto absent_link = [&]() {
+      const NodeId to = pick(1, kNodes - 1);
+      return DirectedLink{pick(0, to - 1), to};
+    };
+
+    GraphDelta delta;
+    std::set<DirectedLink> used;
+    const auto upsert = [&](const DirectedLink& link,
+                            const PermissionList& pl) {
+      if (used.insert(link).second) delta.upserts.emplace_back(link, pl);
+    };
+    const NodeId ops = pick(1, 6);
+    for (NodeId op = 0; op < ops; ++op) {
+      switch (pick(0, 11)) {
+        case 0:  // remove an existing link
+          if (!links.empty()) {
+            const DirectedLink link = some_link().first;
+            if (used.insert(link).second) delta.removes.push_back(link);
+          }
+          break;
+        case 1:  // remove a link that may be absent
+          delta.removes.push_back(absent_link());
+          break;
+        case 2: {  // add (or re-list) a link
+          const DirectedLink link = absent_link();
+          upsert(link, random_link_plist(link.to));
+          break;
+        }
+        case 3:  // change a listed list to another listed list
+          if (!links.empty()) {
+            auto [link, pl] = some_link();
+            if (pl.empty()) break;
+            if (chance(0.5) && pl.dest_count() > 1) {
+              const PermissionList::Entry first = pl.entries().front();
+              pl.remove(first.dests.front(), first.next_hop);
+            } else {
+              const NodeId dest = pick(link.to, kNodes - 1);
+              pl.add(dest,
+                     dest == link.to ? kNoNextHop : pick(link.to + 1, dest));
+            }
+            upsert(link, pl);
+          }
+          break;
+        case 4:  // flip listed <-> unlisted
+          if (!links.empty()) {
+            const auto& [link, pl] = some_link();
+            upsert(link,
+                   pl.empty() ? random_plist(link.to) : PermissionList{});
+          }
+          break;
+        case 5:  // no-op upsert
+          if (!links.empty()) {
+            const auto& [link, pl] = some_link();
+            upsert(link, pl);
+          }
+          break;
+        case 6:  // self-targeted
+          upsert(DirectedLink{pick(0, kNodes - 1), kSelf},
+                 plist_of({{kSelf, kNoNextHop}}));
+          break;
+        case 7: {  // import-filtered
+          const NodeId to = pick(kFiltered + 1, kNodes - 1);
+          upsert(DirectedLink{kFiltered, to}, random_link_plist(to));
+          break;
+        }
+        case 8: {  // single-homed head gains a listed in-link
+          for (NodeId head = 2; head < kNodes; ++head) {
+            if (g.in_degree(head) != 1) continue;
+            const NodeId from = pick(0, head - 1);
+            if (!g.has_link(from, head)) {
+              upsert(DirectedLink{from, head}, random_plist(head));
+              break;
+            }
+          }
+          break;
+        }
+        case 9:  // remove and re-add one link
+          if (!links.empty()) {
+            const auto& [link, pl] = some_link();
+            if (used.insert(link).second) {
+              delta.removes.push_back(link);
+              delta.upserts.emplace_back(link, random_link_plist(link.to));
+            }
+          }
+          break;
+        case 10:
+          delta.dest_adds.push_back(pick(1, kNodes - 1));
+          break;
+        default:
+          delta.dest_removes.push_back(pick(1, kNodes - 1));
+          break;
+      }
+    }
+    return delta;
+  }
+
+ private:
+  NodeId pick(NodeId lo, NodeId hi) {  // uniform in [lo, hi]
+    return std::uniform_int_distribution<NodeId>(lo, hi)(rng_);
+  }
+  bool chance(double p) { return std::bernoulli_distribution(p)(rng_); }
+  // A listed Permission List for an in-link of `head`: pairs for
+  // destinations at or below it, with next hops on the way down.
+  PermissionList random_plist(NodeId head) {
+    PermissionList pl;
+    const NodeId pairs = pick(1, 3);
+    for (NodeId i = 0; i < pairs; ++i) {
+      const NodeId dest = pick(head, kNodes - 1);
+      pl.add(dest, dest == head ? kNoNextHop : pick(head + 1, dest));
+    }
+    return pl;
+  }
+  PermissionList random_link_plist(NodeId head) {
+    return chance(0.3) ? PermissionList{} : random_plist(head);
+  }
+
+  std::mt19937 rng_{0xDE17A};
+};
+
 // Property: on random P-graphs and random deltas, every destination whose
 // DerivePath result or visited chain changes is covered by the report — a
 // coarse head on its old chain, a fine head on its old chain that names it,
@@ -407,162 +586,20 @@ Walk walk_of(const PGraph& g, NodeId dest) {
 }
 
 TEST(DeltaReport, RandomDeltasNeverMissAChangedWalk) {
-  // Ids 0..kNodes-1 with root 0; links only run from a lower to a higher
-  // id, so walks never cycle.  kSelf is the importer (links into it are
-  // dropped); the import filter rejects every link leaving kFiltered.
-  constexpr NodeId kNodes = 10;
-  constexpr NodeId kSelf = kNodes;
-  constexpr NodeId kFiltered = 6;
-  const LinkFilter import_filter = [](NodeId from, NodeId) {
-    return from != kFiltered;
-  };
-  std::mt19937 rng(0xDE17A);
-  const auto pick = [&rng](NodeId lo, NodeId hi) {  // uniform in [lo, hi]
-    return std::uniform_int_distribution<NodeId>(lo, hi)(rng);
-  };
-  const auto chance = [&rng](double p) {
-    return std::bernoulli_distribution(p)(rng);
-  };
-  // A listed Permission List for an in-link of `head`: pairs for
-  // destinations at or below it, with next hops on the way down.
-  const auto random_plist = [&](NodeId head) {
-    PermissionList pl;
-    const NodeId pairs = pick(1, 3);
-    for (NodeId i = 0; i < pairs; ++i) {
-      const NodeId dest = pick(head, kNodes - 1);
-      pl.add(dest, dest == head ? kNoNextHop : pick(head + 1, dest));
-    }
-    return pl;
-  };
-  const auto random_link_plist = [&](NodeId head) {
-    return chance(0.3) ? PermissionList{} : random_plist(head);
-  };
-
+  RandomDeltas stream;
   std::size_t changed_walks = 0, fine_only_hits = 0, fine_skips = 0;
-  for (int trial = 0; trial < 1000; ++trial) {
+  for (int trial = 0; trial < RandomDeltas::kTrials; ++trial) {
     PGraph g(0);
-    for (NodeId head = 1; head < kNodes; ++head) {
-      const NodeId in_degree = std::min<NodeId>(pick(0, 3), head);
-      for (NodeId i = 0; i < in_degree; ++i) {
-        bool added = false;
-        LinkData& data = g.ensure_link(pick(0, head - 1), head, added);
-        if (added) data.plist = random_link_plist(head);
-      }
-    }
-    for (NodeId d = 1; d < kNodes; ++d) {
-      if (chance(0.7)) g.mark_destination(d);
-    }
+    apply_delta(g, stream.initial(), RandomDeltas::kSelf);
 
-    for (int step = 0; step < 4; ++step) {
+    for (int step = 0; step < RandomDeltas::kSteps; ++step) {
       std::map<NodeId, Walk> before;
       for (const NodeId d : g.destinations()) before[d] = walk_of(g, d);
 
-      // Existing links, sorted (the table iterates in hash order).
-      std::vector<std::pair<DirectedLink, PermissionList>> links;
-      for (const auto& [link, data] : g.links()) {
-        links.emplace_back(link, data.plist);
-      }
-      std::sort(links.begin(), links.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      const auto some_link = [&]() {
-        return links[pick(0, static_cast<NodeId>(links.size() - 1))];
-      };
-      const auto absent_link = [&]() {
-        const NodeId to = pick(1, kNodes - 1);
-        return DirectedLink{pick(0, to - 1), to};
-      };
-
-      GraphDelta delta;
-      std::set<DirectedLink> used;
-      const auto upsert = [&](const DirectedLink& link,
-                              const PermissionList& pl) {
-        if (used.insert(link).second) delta.upserts.emplace_back(link, pl);
-      };
-      const NodeId ops = pick(1, 6);
-      for (NodeId op = 0; op < ops; ++op) {
-        switch (pick(0, 11)) {
-          case 0:  // remove an existing link
-            if (!links.empty()) {
-              const DirectedLink link = some_link().first;
-              if (used.insert(link).second) delta.removes.push_back(link);
-            }
-            break;
-          case 1:  // remove a link that may be absent
-            delta.removes.push_back(absent_link());
-            break;
-          case 2: {  // add (or re-list) a link
-            const DirectedLink link = absent_link();
-            upsert(link, random_link_plist(link.to));
-            break;
-          }
-          case 3:  // change a listed list to another listed list
-            if (!links.empty()) {
-              auto [link, pl] = some_link();
-              if (pl.empty()) break;
-              if (chance(0.5) && pl.dest_count() > 1) {
-                const PermissionList::Entry first = pl.entries().front();
-                pl.remove(first.dests.front(), first.next_hop);
-              } else {
-                const NodeId dest = pick(link.to, kNodes - 1);
-                pl.add(dest, dest == link.to ? kNoNextHop
-                                             : pick(link.to + 1, dest));
-              }
-              upsert(link, pl);
-            }
-            break;
-          case 4:  // flip listed <-> unlisted
-            if (!links.empty()) {
-              const auto& [link, pl] = some_link();
-              upsert(link, pl.empty() ? random_plist(link.to)
-                                      : PermissionList{});
-            }
-            break;
-          case 5:  // no-op upsert
-            if (!links.empty()) {
-              const auto& [link, pl] = some_link();
-              upsert(link, pl);
-            }
-            break;
-          case 6:  // self-targeted
-            upsert(DirectedLink{pick(0, kNodes - 1), kSelf},
-                   plist_of({{kSelf, kNoNextHop}}));
-            break;
-          case 7: {  // import-filtered
-            const NodeId to = pick(kFiltered + 1, kNodes - 1);
-            upsert(DirectedLink{kFiltered, to}, random_link_plist(to));
-            break;
-          }
-          case 8: {  // single-homed head gains a listed in-link
-            for (NodeId head = 2; head < kNodes; ++head) {
-              if (g.in_degree(head) != 1) continue;
-              const NodeId from = pick(0, head - 1);
-              if (!g.has_link(from, head)) {
-                upsert(DirectedLink{from, head}, random_plist(head));
-                break;
-              }
-            }
-            break;
-          }
-          case 9:  // remove and re-add one link
-            if (!links.empty()) {
-              const auto& [link, pl] = some_link();
-              if (used.insert(link).second) {
-                delta.removes.push_back(link);
-                delta.upserts.emplace_back(link, random_link_plist(link.to));
-              }
-            }
-            break;
-          case 10:
-            delta.dest_adds.push_back(pick(1, kNodes - 1));
-            break;
-          default:
-            delta.dest_removes.push_back(pick(1, kNodes - 1));
-            break;
-        }
-      }
-
+      const GraphDelta delta = stream.next(g);
       DeltaReport report;
-      apply_delta(g, delta, kSelf, import_filter, &report);
+      apply_delta(g, delta, RandomDeltas::kSelf, stream.import_filter,
+                  &report);
       ASSERT_TRUE(std::is_sorted(report.coarse.begin(), report.coarse.end()));
       ASSERT_TRUE(std::adjacent_find(report.coarse.begin(),
                                      report.coarse.end()) ==
@@ -615,6 +652,139 @@ TEST(DeltaReport, RandomDeltasNeverMissAChangedWalk) {
   EXPECT_GT(changed_walks, 1000u);
   EXPECT_GT(fine_only_hits, 30u);
   EXPECT_GT(fine_skips, 100u);
+}
+
+// Property: a PGraph, which stores Permission Lists only where they are
+// non-empty, answers every delta stream exactly like a reference that
+// stores every link with its list (empty when unlisted) — same links,
+// lists, marks, walks and DeltaReport.  The reference applies a delta by
+// the rules announce.hpp states for apply_delta and DeltaReport.
+class ReferenceGraph {
+ public:
+  /// Applies `delta` and returns its report (empty for a reset delta).
+  std::pair<std::vector<NodeId>, std::set<std::pair<NodeId, NodeId>>> apply(
+      const GraphDelta& delta, NodeId self, const LinkFilter& import_allowed) {
+    std::set<NodeId> coarse;
+    std::set<std::pair<NodeId, NodeId>> named;
+    std::map<NodeId, std::size_t> fine;  // candidate head -> links added
+    if (delta.reset) {
+      links_.clear();
+      dests_.clear();
+    }
+    for (const DirectedLink& link : delta.removes) {
+      if (links_.erase(link) != 0) coarse.insert(link.to);
+    }
+    for (const NodeId d : delta.dest_removes) dests_.erase(d);
+    for (const auto& [link, after] : delta.upserts) {
+      if (link.to == self) continue;
+      if (import_allowed && !import_allowed(link.from, link.to)) continue;
+      const auto it = links_.find(link);
+      const bool added = it == links_.end();
+      const PermissionList before = added ? PermissionList{} : it->second;
+      if (!added && before == after) continue;
+      // An unlisted in-link is the default at a multi-homed head: adding
+      // one, or flipping one between listed and unlisted, is coarse.
+      if (after.empty() || (!added && before.empty())) {
+        coarse.insert(link.to);
+      } else {
+        fine[link.to] += added ? 1 : 0;
+        before.for_each_changed_dest(
+            after, [&](NodeId dest) { named.emplace(link.to, dest); });
+      }
+      links_[link] = after;
+    }
+    dests_.insert(delta.dest_adds.begin(), delta.dest_adds.end());
+    // Fine only while multi-homed before and after (the head lost no link).
+    for (const auto& [head, added] : fine) {
+      if (parents(head).size() < added + 2) coarse.insert(head);
+    }
+    std::erase_if(named, [&](const auto& hd) {
+      return coarse.count(hd.first) != 0;
+    });
+    if (delta.reset) return {};
+    return {std::vector<NodeId>(coarse.begin(), coarse.end()),
+            std::move(named)};
+  }
+
+  // The query_path_over view.
+  NodeId root() const { return 0; }
+  std::vector<NodeId> parents(NodeId n) const {
+    std::vector<NodeId> ps;
+    for (const auto& [link, pl] : links_) {
+      if (link.to == n) ps.push_back(link.from);
+    }
+    std::sort(ps.begin(), ps.end());
+    return ps;
+  }
+  const PermissionList* plist(NodeId from, NodeId to) const {
+    const auto it = links_.find(DirectedLink{from, to});
+    return it != links_.end() ? &it->second : nullptr;
+  }
+
+  const std::map<DirectedLink, PermissionList>& links() const {
+    return links_;
+  }
+  const std::set<NodeId>& dests() const { return dests_; }
+
+ private:
+  std::map<DirectedLink, PermissionList> links_;
+  std::set<NodeId> dests_;
+};
+
+/// Asserts `g` holds exactly `ref`'s links, lists, marks and walks.
+void expect_same_graph(const PGraph& g, const ReferenceGraph& ref) {
+  std::map<DirectedLink, PermissionList> links;
+  for (const auto& [link, plist] : g.links()) {
+    ASSERT_TRUE(links.emplace(link, plist).second) << "link yielded twice";
+  }
+  ASSERT_EQ(links, ref.links());
+  ASSERT_EQ(g.num_links(), ref.links().size());
+  std::size_t listed = 0;
+  for (const auto& [link, pl] : ref.links()) {
+    ASSERT_TRUE(g.has_link(link.from, link.to));
+    const PermissionList* stored = g.plist(link.from, link.to);
+    ASSERT_EQ(stored != nullptr, !pl.empty());
+    if (stored != nullptr) {
+      ASSERT_EQ(*stored, pl);
+      ++listed;
+    }
+  }
+  ASSERT_EQ(g.plist_map().size(), listed);
+  ASSERT_EQ(std::set<NodeId>(g.destinations().begin(), g.destinations().end()),
+            ref.dests());
+  for (NodeId dest = 0; dest <= RandomDeltas::kSelf; ++dest) {
+    const Walk got = walk_of(g, dest);
+    Walk want;
+    want.status = query_path_over(ref, PathQuery{dest, &want.chain}, want.path);
+    ASSERT_EQ(got, want) << "walk of " << dest;
+  }
+}
+
+TEST(ApplyDelta, MatchesAReferenceThatStoresEveryLink) {
+  RandomDeltas stream;
+  for (int trial = 0; trial < RandomDeltas::kTrials; ++trial) {
+    PGraph g(0);
+    ReferenceGraph ref;
+    const GraphDelta init = stream.initial();
+    apply_delta(g, init, RandomDeltas::kSelf);
+    ref.apply(init, RandomDeltas::kSelf, nullptr);
+    ASSERT_NO_FATAL_FAILURE(expect_same_graph(g, ref)) << "trial " << trial;
+    for (int step = 0; step < RandomDeltas::kSteps; ++step) {
+      const GraphDelta delta = stream.next(g);
+      DeltaReport report;
+      apply_delta(g, delta, RandomDeltas::kSelf, stream.import_filter,
+                  &report);
+      const auto [coarse, named] =
+          ref.apply(delta, RandomDeltas::kSelf, stream.import_filter);
+      ASSERT_EQ(report.coarse, coarse) << "trial " << trial << " step " << step;
+      const std::set<std::pair<NodeId, NodeId>> got_named(
+          report.named.begin(), report.named.end());
+      ASSERT_EQ(got_named, named) << "trial " << trial << " step " << step;
+      ASSERT_EQ(report.named.size(), named.size());
+      ASSERT_NO_FATAL_FAILURE(expect_same_graph(g, ref))
+          << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 TEST(GraphDelta, ByteSizeIsExactEncodedLength) {
@@ -737,9 +907,9 @@ TEST(Privacy, PathVectorAndPGraphAreInterconvertible) {
   apply_delta(assembled, diff_views(ExportedView{}, announced), /*self=*/9);
   std::map<NodeId, Path> path_vectors;
   for (const NodeId dest : assembled.destinations()) {
-    const auto p = assembled.derive_path(dest);
-    ASSERT_TRUE(p.has_value()) << dest;
-    path_vectors[dest] = *p;
+    const PathResult p = query_path(assembled, {dest});
+    ASSERT_TRUE(p.found()) << dest;
+    path_vectors[dest] = p.path;
   }
 
   // Claim 2's construction: BuildGraph over the path-vector set recovers

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "centaur/build_graph.hpp"
+#include "centaur/query.hpp"
 #include "policy/valley_free.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
@@ -39,21 +40,98 @@ TEST(BuildGraph, LinksAndDestinations) {
 
 TEST(BuildGraph, CountersTrackPathsPerLink) {
   const PGraph g = build_local_pgraph(C, fig4_selection());
-  // C->A lies on the paths to A, B and D.
-  EXPECT_EQ(g.link_data(C, A).counter, 3u);
-  EXPECT_EQ(g.link_data(A, B).counter, 2u);
-  EXPECT_EQ(g.link_data(B, D).counter, 1u);
-  EXPECT_EQ(g.link_data(C, D).counter, 1u);
-  EXPECT_EQ(g.link_data(D, Dp).counter, 1u);
+  // A link's pair count is its path counter: C->A lies on the paths to A,
+  // B and D.
+  EXPECT_EQ(g.plist(C, A)->dest_count(), 3u);
+  EXPECT_EQ(g.plist(A, B)->dest_count(), 2u);
+  EXPECT_EQ(g.plist(B, D)->dest_count(), 1u);
+  EXPECT_EQ(g.plist(C, D)->dest_count(), 1u);
+  EXPECT_EQ(g.plist(D, Dp)->dest_count(), 1u);
+}
+
+TEST(BuildGraph, RandomAddRemoveKeepsLinksExactlyWhileCountersArePositive) {
+  // One selected path per destination, added, replaced and withdrawn in a
+  // random order: each link must be present exactly while a counter model
+  // (selected paths through it) reads above zero, and its pair count must
+  // equal that counter.
+  constexpr NodeId kRoot = 0;
+  constexpr NodeId kNodes = 12;
+  util::Rng rng(2009);
+  const auto random_path = [&](NodeId dest) {
+    std::vector<NodeId> pool;
+    for (NodeId n = 1; n < kNodes; ++n) {
+      if (n != dest) pool.push_back(n);
+    }
+    Path path{kRoot};
+    const std::size_t hops = rng.index(4);
+    for (std::size_t h = 0; h < hops; ++h) {
+      const std::size_t pick = rng.index(pool.size());
+      path.push_back(pool[pick]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    path.push_back(dest);
+    return path;
+  };
+  PGraph g(kRoot);
+  std::map<NodeId, Path> selected;
+  std::map<DirectedLink, int> counter;
+  const auto count = [&](const Path& path, int by) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      counter[DirectedLink{path[i], path[i + 1]}] += by;
+    }
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const auto dest = static_cast<NodeId>(1 + rng.index(kNodes - 1));
+    const auto it = selected.find(dest);
+    if (it == selected.end()) {
+      const Path path = random_path(dest);
+      add_path_to_pgraph(g, path);
+      count(path, +1);
+      selected.emplace(dest, path);
+    } else {
+      // A path for the destination that is not the selected one (or, for
+      // an unselected destination below, any path) is not in the graph.
+      Path other = random_path(dest);
+      if (other != it->second) {
+        PGraph copy = g;
+        EXPECT_THROW(remove_path_from_pgraph(copy, other), std::logic_error);
+      }
+      remove_path_from_pgraph(g, it->second);
+      count(it->second, -1);
+      selected.erase(it);
+      if (rng.index(2) == 0) {
+        add_path_to_pgraph(g, other);
+        count(other, +1);
+        selected.emplace(dest, other);
+      } else {
+        PGraph copy = g;
+        EXPECT_THROW(remove_path_from_pgraph(copy, other), std::logic_error);
+      }
+    }
+    std::size_t positive = 0;
+    for (const auto& [link, paths] : counter) {
+      ASSERT_GE(paths, 0);
+      ASSERT_EQ(g.has_link(link.from, link.to), paths > 0)
+          << "step " << step << " link " << link.from << "->" << link.to;
+      if (paths == 0) continue;
+      ++positive;
+      const PermissionList* plist = g.plist(link.from, link.to);
+      ASSERT_NE(plist, nullptr);
+      ASSERT_EQ(plist->dest_count(), static_cast<std::size_t>(paths));
+    }
+    ASSERT_EQ(g.num_links(), positive) << "step " << step;
+    ASSERT_EQ(g.plist_map().size(), positive) << "step " << step;
+    ASSERT_EQ(g, build_local_pgraph(kRoot, selected)) << "step " << step;
+  }
 }
 
 TEST(BuildGraph, PermissionListsOnMultiHomedHead) {
   const PGraph g = build_local_pgraph(C, fig4_selection());
   EXPECT_TRUE(g.multi_homed(D));
   // Table 2 line 7: entries keyed by the next hop of the multi-homed node.
-  EXPECT_TRUE(g.link_data(B, D).plist.permits(D, kNoNextHop));
-  EXPECT_TRUE(g.link_data(C, D).plist.permits(Dp, Dp));
-  EXPECT_FALSE(g.link_data(C, D).plist.permits(D, kNoNextHop));
+  EXPECT_TRUE(g.plist(B, D)->permits(D, kNoNextHop));
+  EXPECT_TRUE(g.plist(C, D)->permits(Dp, Dp));
+  EXPECT_FALSE(g.plist(C, D)->permits(D, kNoNextHop));
   EXPECT_EQ(g.active_plist_count(), 2u);
 }
 
@@ -88,7 +166,7 @@ TEST(BuildGraph, RetroactivePermissionsWhenNodeBecomesMultiHomed) {
   EXPECT_TRUE(g.multi_homed(D));
   // The (D, kNoNextHop) entry from the first path must be active on B->D.
   EXPECT_TRUE(g.plist_active(B, D));
-  EXPECT_TRUE(g.link_data(B, D).plist.permits(D, kNoNextHop));
+  EXPECT_TRUE(g.plist(B, D)->permits(D, kNoNextHop));
 }
 
 // ------------------- property: DerivePath inverts BuildGraph --------------
@@ -125,20 +203,20 @@ TEST_P(BuildDeriveRoundTrip, DerivePathReturnsExactlySelectedPaths) {
     // Invariant 4 (DESIGN.md): the unique derivable path per destination is
     // the path the creator selected.
     for (const auto& [dest, path] : selected[i]) {
-      const auto derived = g.derive_path(dest);
-      ASSERT_TRUE(derived.has_value()) << "dest " << dest;
-      EXPECT_EQ(*derived, path) << "dest " << dest;
+      const PathResult derived = query_path(g, {dest});
+      ASSERT_TRUE(derived.found()) << "dest " << dest;
+      EXPECT_EQ(derived.path, path) << "dest " << dest;
     }
-    // Counter invariant 6: counter equals number of selected paths through
-    // the link.
-    std::map<DirectedLink, std::uint32_t> expect_counts;
+    // Counter invariant 6: a link's pair count equals the number of
+    // selected paths through the link.
+    std::map<DirectedLink, std::size_t> expect_counts;
     for (const auto& [dest, path] : selected[i]) {
       for (std::size_t k = 0; k + 1 < path.size(); ++k) {
         ++expect_counts[DirectedLink{path[k], path[k + 1]}];
       }
     }
-    for (const auto& [link, data] : g.links()) {
-      EXPECT_EQ(data.counter, expect_counts.at(link));
+    for (const auto& [link, plist] : g.links()) {
+      EXPECT_EQ(plist.dest_count(), expect_counts.at(link));
     }
     EXPECT_EQ(expect_counts.size(), g.num_links());
   }
@@ -169,13 +247,13 @@ TEST(MinimizePlists, DefaultLinkClearedOthersKeepEntries) {
   ASSERT_TRUE(g.multi_homed(3));
   const std::size_t cleared = minimize_permission_lists(g);
   EXPECT_EQ(cleared, 1u);
-  EXPECT_TRUE(g.link_data(1, 3).plist.empty());      // default (sentinel)
-  EXPECT_FALSE(g.link_data(2, 3).plist.empty());     // exceptional
-  EXPECT_TRUE(g.link_data(2, 3).plist.permits(4, 4));
+  EXPECT_EQ(g.plist(1, 3), nullptr);  // default (sentinel): unlisted
+  ASSERT_NE(g.plist(2, 3), nullptr);  // exceptional
+  EXPECT_TRUE(g.plist(2, 3)->permits(4, 4));
   // DerivePath still resolves both destinations correctly through the
   // explicit-permission-first / default-fallback rule.
-  EXPECT_EQ(*g.derive_path(3), (Path{2, 0, 1, 3}));
-  EXPECT_EQ(*g.derive_path(4), (Path{2, 3, 4}));
+  EXPECT_EQ(query_path(g, {3}).path, (Path{2, 0, 1, 3}));
+  EXPECT_EQ(query_path(g, {4}).path, (Path{2, 3, 4}));
 }
 
 TEST(MinimizePlists, NoopOnTreePGraph) {
@@ -204,9 +282,9 @@ TEST(MinimizePlists, DerivedPathsUnchangedOnRandomTopologies) {
   PGraph g = build_local_pgraph(vantage, selected);
   minimize_permission_lists(g);
   for (const auto& [dest, path] : selected) {
-    const auto derived = g.derive_path(dest);
-    ASSERT_TRUE(derived.has_value()) << dest;
-    EXPECT_EQ(*derived, path) << dest;
+    const PathResult derived = query_path(g, {dest});
+    ASSERT_TRUE(derived.found()) << dest;
+    EXPECT_EQ(derived.path, path) << dest;
   }
 }
 
@@ -230,7 +308,7 @@ TEST(MinimizePlists, IncrementalBatchesMatchFullPass) {
   PGraph full = build_local_pgraph(vantage, selected);
   PGraph batched = full;
   std::vector<NodeId> heads;
-  for (const auto& [link, data] : full.links()) heads.push_back(link.to);
+  for (const auto& [link, plist] : full.links()) heads.push_back(link.to);
   std::sort(heads.begin(), heads.end());
   heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
   ASSERT_FALSE(heads.empty());
@@ -266,10 +344,10 @@ TEST(DerivePathFallback, TwoUnlistedInLinksAreAmbiguous) {
   g.add_link(2, 3);
   g.mark_destination(3);
   // 3 is multi-homed with no permission lists at all: ambiguous.
-  EXPECT_FALSE(g.derive_path(3).has_value());
+  EXPECT_FALSE(query_path(g, {3}).found());
   // One explicit permission resolves it.
-  g.link_data(1, 3).plist.add(3, kNoNextHop);
-  EXPECT_EQ(*g.derive_path(3), (Path{0, 1, 3}));
+  g.add_permission(1, 3, 3, kNoNextHop);
+  EXPECT_EQ(query_path(g, {3}).path, (Path{0, 1, 3}));
 }
 
 }  // namespace

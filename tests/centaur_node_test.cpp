@@ -46,9 +46,9 @@ TEST(CentaurNode, LocalPGraphMatchesSelection) {
   const CentaurNode& a = net.node(A);
   const PGraph& local = a.local_pgraph();
   for (const auto& [dest, path] : a.selected_paths()) {
-    const auto derived = local.derive_path(dest);
-    ASSERT_TRUE(derived.has_value());
-    EXPECT_EQ(*derived, path);
+    const PathResult derived = query_path(local, {dest});
+    ASSERT_TRUE(derived.found());
+    EXPECT_EQ(derived.path, path);
   }
 }
 
@@ -124,15 +124,15 @@ TEST(CentaurNode, Fig4RankingOverrideCreatesPermissionLists) {
   // lists steering each destination.
   const PGraph& local = net.node(C).local_pgraph();
   EXPECT_TRUE(local.multi_homed(D));
-  EXPECT_TRUE(local.link_data(B, D).plist.permits(D, kNoNextHop));
-  EXPECT_TRUE(local.link_data(C, D).plist.permits(Dp, Dp));
+  EXPECT_TRUE(local.plist(B, D)->permits(D, kNoNextHop));
+  EXPECT_TRUE(local.plist(C, D)->permits(Dp, Dp));
 
   // A cannot derive the policy-violating <C, D> from C's announcement:
   // only the D'-path survives the permission lists.
   const PGraph* from_c = net.node(A).neighbor_pgraph(C);
   ASSERT_NE(from_c, nullptr);
-  EXPECT_EQ(from_c->derive_path(Dp), (Path{C, D, Dp}));
-  EXPECT_FALSE(from_c->derive_path(D).has_value());
+  EXPECT_EQ(query_path(*from_c, {Dp}).path, (Path{C, D, Dp}));
+  EXPECT_FALSE(query_path(*from_c, {D}).found());
 
   // Consequently A never builds the policy-violating <A, C, D>.
   EXPECT_EQ(net.node(A).selected_path(D), (Path{A, B, D}));

@@ -349,8 +349,10 @@ TEST(SmallVec, LayoutSizesOnLp64) {
   // 32-bit size and capacity, then the inline array sharing its storage
   // with the heap pointer (DESIGN.md §5.1).
   EXPECT_EQ(sizeof(SmallVec<topo::NodeId, 4>), 24u);
+  // Two parents fill the pointer's 8 bytes.
+  EXPECT_EQ(sizeof(core::PGraph::AdjList), 16u);
+  EXPECT_EQ(core::PGraph::AdjVec::kSlotBytes, 24u);
   EXPECT_EQ(sizeof(core::PermissionList), 32u);
-  EXPECT_EQ(sizeof(core::LinkData), 40u);
   EXPECT_EQ(sizeof(core::CentaurNode::DestState), 40u);
 }
 

@@ -28,7 +28,7 @@ namespace centaur::core {
 // Seeds the structural corruption the public PGraph API refuses to produce
 // (see the friend declaration in pgraph.hpp).
 struct PGraphCorruptor {
-  /// Records `from` as a parent of `to` without storing the link.
+  /// Records `from` as a parent of `to` without counting the link.
   static void add_dangling_parent(PGraph& g, NodeId from, NodeId to) {
     PGraph::AdjList& ps = g.parents_.ensure(to);
     ps.insert(std::upper_bound(ps.begin(), ps.end(), from), from);
@@ -37,6 +37,11 @@ struct PGraphCorruptor {
   static void unsort_parents(PGraph& g, NodeId of) {
     PGraph::AdjList& ps = g.parents_.ensure(of);
     std::reverse(ps.begin(), ps.end());
+  }
+  /// Stores `list` for from->to as is: empty, or on a missing link.
+  static void store_plist(PGraph& g, NodeId from, NodeId to,
+                          const PermissionList& list) {
+    g.plists_[pack_link(from, to)] = list;
   }
 };
 
@@ -55,8 +60,21 @@ bool has(const std::vector<Violation>& vs, Invariant inv) {
                      [inv](const Violation& v) { return v.invariant == inv; });
 }
 
+/// The detail of the first violation of `inv` (empty if none).
+std::string detail_of(const std::vector<Violation>& vs, Invariant inv) {
+  const auto it = std::find_if(vs.begin(), vs.end(), [inv](const Violation& v) {
+    return v.invariant == inv;
+  });
+  return it != vs.end() ? it->detail : std::string();
+}
+
 std::map<NodeId, Path> two_paths() {
   return {{1, Path{0, 1}}, {2, Path{0, 1, 2}}};
+}
+
+/// Inserts from->to carrying one selected path's pair, as BuildGraph does.
+void link(PGraph& g, NodeId from, NodeId to) {
+  g.add_permission(from, to, to, core::kNoNextHop);
 }
 
 TEST(CheckPGraph, CleanLocalGraphPasses) {
@@ -71,12 +89,9 @@ TEST(CheckPGraph, EmptyGraphPasses) {
 
 TEST(CheckPGraph, CycleIsDetected) {
   PGraph g(0);
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.add_link(2, 1);  // 1 -> 2 -> 1
-  g.link_data(0, 1).counter = 1;
-  g.link_data(1, 2).counter = 1;
-  g.link_data(2, 1).counter = 1;
+  link(g, 0, 1);
+  link(g, 1, 2);
+  link(g, 2, 1);  // 1 -> 2 -> 1
   const auto vs = check_pgraph(g);
   EXPECT_TRUE(has(vs, Invariant::kAcyclic));
 
@@ -86,29 +101,48 @@ TEST(CheckPGraph, CycleIsDetected) {
 }
 
 TEST(CheckPGraph, DanglingParentEntryIsDetected) {
+  // The parents index is the link set, so a parent entry the kept link
+  // count does not account for is a link only half inserted.
   PGraph g(0);
-  g.add_link(0, 1);
-  g.link_data(0, 1).counter = 1;
+  link(g, 0, 1);
   PGraphCorruptor::add_dangling_parent(g, 5, 1);  // parents[1] lists 5->1
   const auto vs = check_pgraph(g);
   ASSERT_TRUE(has(vs, Invariant::kAdjacency));
-  // The report names the phantom link.
-  const auto it = std::find_if(vs.begin(), vs.end(), [](const Violation& v) {
-    return v.invariant == Invariant::kAdjacency;
-  });
-  EXPECT_NE(it->detail.find("5->1"), std::string::npos) << it->detail;
+  // The report names both counts.
+  const std::string detail = detail_of(vs, Invariant::kAdjacency);
+  EXPECT_NE(detail.find("num_links() is 1"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("holds 2 links"), std::string::npos) << detail;
+}
+
+TEST(CheckPGraph, StoredEmptyListIsDetected) {
+  PGraph g = core::build_local_pgraph(0, two_paths());
+  PGraphCorruptor::store_plist(g, 1, 2, core::PermissionList{});
+  const auto vs = check_pgraph(g, neighbor_graph_options());
+  ASSERT_TRUE(has(vs, Invariant::kAdjacency));
+  const std::string detail = detail_of(vs, Invariant::kAdjacency);
+  EXPECT_NE(detail.find("1->2"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("empty"), std::string::npos) << detail;
+}
+
+TEST(CheckPGraph, ListOnAMissingLinkIsDetected) {
+  PGraph g = core::build_local_pgraph(0, two_paths());
+  core::PermissionList stray;
+  stray.add(3, core::kNoNextHop);
+  PGraphCorruptor::store_plist(g, 2, 3, stray);  // 2->3 is no link
+  const auto vs = check_pgraph(g, neighbor_graph_options());
+  ASSERT_TRUE(has(vs, Invariant::kAdjacency));
+  const std::string detail = detail_of(vs, Invariant::kAdjacency);
+  EXPECT_NE(detail.find("2->3"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("missing from parents[3]"), std::string::npos)
+      << detail;
 }
 
 TEST(CheckPGraph, UnsortedAdjacencyIsDetected) {
   PGraph g(0);
-  g.add_link(0, 1);
-  g.add_link(0, 2);
-  g.add_link(1, 3);
-  g.add_link(2, 3);
-  g.link_data(0, 1).counter = 1;
-  g.link_data(0, 2).counter = 1;
-  g.link_data(1, 3).counter = 1;
-  g.link_data(2, 3).counter = 1;
+  link(g, 0, 1);
+  link(g, 0, 2);
+  link(g, 1, 3);
+  link(g, 2, 3);
   ASSERT_TRUE(check_pgraph(g).empty());
   PGraphCorruptor::unsort_parents(g, 3);  // parents[3] becomes {2, 1}
   EXPECT_TRUE(has(check_pgraph(g), Invariant::kAdjacencySorted));
@@ -116,19 +150,15 @@ TEST(CheckPGraph, UnsortedAdjacencyIsDetected) {
 
 TEST(CheckPGraph, RootWithParentIsDetected) {
   PGraph g(0);
-  g.add_link(0, 1);
-  g.add_link(1, 0);  // nothing may point at the root
-  g.link_data(0, 1).counter = 1;
-  g.link_data(1, 0).counter = 1;
+  link(g, 0, 1);
+  link(g, 1, 0);  // nothing may point at the root
   EXPECT_TRUE(has(check_pgraph(g), Invariant::kRootNoParents));
 }
 
 TEST(CheckPGraph, RootUnreachableNodeIsDetected) {
   PGraph g(0);
-  g.add_link(0, 1);
-  g.add_link(2, 3);  // island: 2 and 3 never reach the root
-  g.link_data(0, 1).counter = 1;
-  g.link_data(2, 3).counter = 1;
+  link(g, 0, 1);
+  link(g, 2, 3);  // island: 2 and 3 never reach the root
   const auto vs = check_pgraph(g);
   EXPECT_TRUE(has(vs, Invariant::kRootReachable));
 
@@ -137,36 +167,39 @@ TEST(CheckPGraph, RootUnreachableNodeIsDetected) {
 }
 
 TEST(CheckPGraph, ZeroCounterOnStoredLinkIsDetected) {
+  // A local link's counter is its list's pair count: an unlisted local
+  // link should have been withdrawn.
   PGraph g = core::build_local_pgraph(0, two_paths());
-  g.link_data(1, 2).counter = 0;  // should have been withdrawn
-  EXPECT_TRUE(has(check_pgraph(g), Invariant::kCounter));
+  g.set_plist(1, 2, core::PermissionList{});
+  const auto vs = check_pgraph(g);
+  ASSERT_TRUE(has(vs, Invariant::kCounter));
+  EXPECT_NE(detail_of(vs, Invariant::kCounter).find("1->2"), std::string::npos);
+  // Received graphs carry unlisted links legitimately.
+  EXPECT_FALSE(has(check_pgraph(g, neighbor_graph_options()),
+                   Invariant::kCounter));
 }
 
 TEST(CheckPGraph, StaleCounterIsDetected) {
   PGraph g = core::build_local_pgraph(0, two_paths());
-  g.link_data(0, 1).counter = 7;  // two selected paths traverse 0->1
+  // Two selected paths traverse 0->1; a third pair makes its count 3.
+  g.add_permission(0, 1, 7, 7);
   const auto vs = check_counters_against(g, two_paths());
   ASSERT_TRUE(has(vs, Invariant::kCounter));
-  const auto it = std::find_if(vs.begin(), vs.end(), [](const Violation& v) {
-    return v.invariant == Invariant::kCounter;
-  });
-  EXPECT_NE(it->detail.find("0->1"), std::string::npos) << it->detail;
+  EXPECT_NE(detail_of(vs, Invariant::kCounter).find("0->1"),
+            std::string::npos)
+      << detail_of(vs, Invariant::kCounter);
 }
 
 TEST(CheckPGraph, UntraversedLinkIsDetected) {
   PGraph g = core::build_local_pgraph(0, two_paths());
-  g.add_link(1, 3);  // no selected path uses it
-  g.link_data(1, 3).counter = 1;
+  link(g, 1, 3);  // no selected path uses it
   EXPECT_TRUE(has(check_counters_against(g, two_paths()), Invariant::kCounter));
 }
 
 TEST(CheckPGraph, PlistOnSingleHomedHeadFailsWireForm) {
   PGraph g(0);
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.link_data(0, 1).counter = 1;
-  g.link_data(1, 2).counter = 1;
-  g.link_data(1, 2).plist.add(2, core::kNoNextHop);  // head 2 is single-homed
+  link(g, 0, 1);
+  link(g, 1, 2);  // head 2 is single-homed
   EXPECT_TRUE(has(check_pgraph(g, wire_form_options()),
                   Invariant::kPlistActivation));
   // The default (BuildGraph) contract keeps inactive entries everywhere.

@@ -74,8 +74,8 @@ PGraph diamond() {
   g.add_link(0, 2);
   g.add_link(1, 3);
   g.add_link(2, 3);
-  g.link_data(1, 3).plist.add(3, kNoNextHop);
-  g.link_data(2, 3).plist.add(3, kNoNextHop);
+  g.add_permission(1, 3, 3, kNoNextHop);
+  g.add_permission(2, 3, 3, kNoNextHop);
   g.mark_destination(3);
   return g;
 }
@@ -85,7 +85,7 @@ PGraph triple_diamond() {
   PGraph g = diamond();
   g.add_link(0, 4);
   g.add_link(4, 3);
-  g.link_data(4, 3).plist.add(3, kNoNextHop);
+  g.add_permission(4, 3, 3, kNoNextHop);
   return g;
 }
 
@@ -98,8 +98,8 @@ PGraph diamond_via(NodeId via) {
   g.add_link(1, 3);
   g.add_link(2, 3);
   // Both links listed, exactly one permitting 3 — no unlisted fallback.
-  g.link_data(1, 3).plist.add(via == 1 ? NodeId{3} : NodeId{99}, kNoNextHop);
-  g.link_data(2, 3).plist.add(via == 2 ? NodeId{3} : NodeId{99}, kNoNextHop);
+  g.add_permission(1, 3, via == 1 ? NodeId{3} : NodeId{99}, kNoNextHop);
+  g.add_permission(2, 3, via == 2 ? NodeId{3} : NodeId{99}, kNoNextHop);
   g.mark_destination(3);
   return g;
 }
@@ -149,7 +149,7 @@ TEST(Snapshot, FullMatchesLiveGraph) {
   PGraph g = diamond();
   // BuildGraph records a list on every link; DerivePath reads it only at a
   // multi-homed head, and so does the snapshot.
-  g.link_data(0, 1).plist.add(3, 3);
+  g.add_permission(0, 1, 3, 3);
   const auto snap = from_scratch(g);
 
   ASSERT_NE(snap, nullptr);
@@ -237,7 +237,9 @@ void expect_frozen(const PGraphSnapshot& snap, const PGraph& g,
         continue;
       }
       ASSERT_NE(pl, nullptr) << p << "->" << n;
-      EXPECT_EQ(*pl, g.link_data(p, n).plist) << p << "->" << n;
+      const core::PermissionList* stored = g.plist(p, n);
+      EXPECT_EQ(*pl, stored != nullptr ? *stored : core::PermissionList{})
+          << p << "->" << n;
     }
   }
   // Ids past every leaf read as absent, whatever the tree's height.
@@ -299,8 +301,8 @@ class Mutator {
   void add(NodeId from, NodeId to, std::size_t live) {
     g_.add_link(from, to);
     if (rng_.chance(0.6)) {
-      g_.link_data(from, to).plist.add(
-          any(live), rng_.chance(0.5) ? kNoNextHop : any(live));
+      g_.add_permission(from, to, any(live),
+                        rng_.chance(0.5) ? kNoNextHop : any(live));
     }
     touched.push_back({from, to});
   }
@@ -312,7 +314,7 @@ class Mutator {
 
   void mutate(std::size_t live) {
     std::vector<core::DirectedLink> links;
-    for (const auto& [link, data] : g_.links()) links.push_back(link);
+    for (const auto& [link, plist] : g_.links()) links.push_back(link);
     std::sort(links.begin(), links.end(), [](const auto& a, const auto& b) {
       return a.from != b.from ? a.from < b.from : a.to < b.to;
     });
@@ -329,9 +331,12 @@ class Mutator {
         remove(picked.from, picked.to);
         break;
       case 2: {  // change a Permission List
-        core::PermissionList& pl = g_.link_data(picked.from, picked.to).plist;
+        const core::PermissionList* stored = g_.plist(picked.from, picked.to);
+        core::PermissionList pl =
+            stored != nullptr ? *stored : core::PermissionList{};
         const NodeId dest = any(live);
         if (!pl.remove(dest, kNoNextHop)) pl.add(dest, kNoNextHop);
+        g_.set_plist(picked.from, picked.to, pl);
         touched.push_back(picked);
         break;
       }
@@ -412,7 +417,7 @@ PGraph wide_graph() {
     const NodeId head = 1000 + 7 * n;
     for (const NodeId p : {n, n + 16}) {
       g.add_link(p, head);
-      g.link_data(p, head).plist.add(head, kNoNextHop);
+      g.add_permission(p, head, head, kNoNextHop);
     }
     g.mark_destination(head);
   }
@@ -433,9 +438,9 @@ void churn_every_head(PGraph& g, NodeId tag, std::vector<NodeId>& dests,
                       std::vector<core::DirectedLink>& touched) {
   dests.clear();
   touched.clear();
-  for (const auto& [link, data] : g.links()) touched.push_back(link);
+  for (const auto& [link, plist] : g.links()) touched.push_back(link);
   for (const core::DirectedLink& link : touched) {
-    g.link_data(link.from, link.to).plist.add(tag, kNoNextHop);
+    g.add_permission(link.from, link.to, tag, kNoNextHop);
     dests.push_back(link.to);
   }
   std::sort(dests.begin(), dests.end());
@@ -458,7 +463,7 @@ TEST(Snapshot, HeldVersionOutlivesSuccessorsDroppedInAnyOrder) {
   for (NodeId round = 0; round < 12; ++round) {
     const NodeId from = 1 + round;
     const NodeId head = 1000 + 7 * from;
-    g.link_data(from, head).plist.add(5000 + round, kNoNextHop);
+    g.add_permission(from, head, 5000 + round, kNoNextHop);
     g.mark_destination(from);
     held.push_back(builder->publish(g, {from}, {{from, head}}));
   }
@@ -498,7 +503,7 @@ TEST(Snapshot, RebuildKeepsNothingOfItsPredecessors) {
   const std::vector<NodeId> ids = wide_ids();
   serve::SnapshotBuilder builder;
   std::shared_ptr<const PGraphSnapshot> v1 = builder.publish(g, {}, {});
-  g.link_data(1, 1007).plist.add(5000, kNoNextHop);
+  g.add_permission(1, 1007, 5000, kNoNextHop);
   g.mark_destination(1);
   std::shared_ptr<const PGraphSnapshot> v2 =
       builder.publish(g, {1}, {{1, 1007}});
@@ -516,7 +521,7 @@ TEST(Snapshot, RebuildKeepsNothingOfItsPredecessors) {
   // Deltas after a rebuild path-copy the rebuilt tree.
   fresh.add_link(2, 1030);
   fresh.add_link(0, 1030);
-  fresh.link_data(2, 1030).plist.add(1030, kNoNextHop);
+  fresh.add_permission(2, 1030, 1030, kNoNextHop);
   fresh.mark_destination(1030);
   const auto v4 = builder.publish(fresh, {1030}, {{2, 1030}, {0, 1030}});
   EXPECT_EQ(builder.full_builds(), 2u);
@@ -663,9 +668,9 @@ TEST(KPaths, CanonicalFirstSortedDistinctAndCompliant) {
   EXPECT_FALSE(kp.truncated);
 
   // paths[0] is exactly DerivePath.
-  const auto canonical = g.derive_path(3);
-  ASSERT_TRUE(canonical.has_value());
-  EXPECT_EQ(kp.paths[0], *canonical);
+  const core::PathResult canonical = core::query_path(g, {3});
+  ASSERT_TRUE(canonical.found());
+  EXPECT_EQ(kp.paths[0], canonical.path);
 
   for (const Path& p : kp.paths) {
     EXPECT_TRUE(policy_compliant(view, p, 3)) << ::testing::PrintToString(p);
@@ -685,7 +690,7 @@ TEST(KPaths, CanonicalFirstSortedDistinctAndCompliant) {
   // k truncates the alternates, keeps the canonical head.
   const core::KPathResult k1 = core::query_k_paths(view, 3, 1);
   ASSERT_EQ(k1.paths.size(), 1u);
-  EXPECT_EQ(k1.paths[0], *canonical);
+  EXPECT_EQ(k1.paths[0], canonical.path);
 
   EXPECT_EQ(core::disjoint_path_count(view, 3), 3u);
 }
@@ -717,19 +722,19 @@ TEST(KPaths, UnreachableAndSinglePathShapes) {
 
 TEST(KPaths, MatchesDerivePathOnConvergedNodeGraphs) {
   // On every converged per-vantage P-graph, k=1 enumeration and the
-  // canonical head of k=4 must agree with the deprecated derive_path
-  // wrapper for every destination.
+  // canonical head of k=4 must agree with DerivePath (query_path) for
+  // every destination.
   util::Rng rng(21);
   const topo::AsGraph g = topo::brite_like(18, 2, 4, rng);
   for (NodeId vantage = 0; vantage < g.num_nodes(); vantage += 5) {
     const PGraph pg = eval::build_node_pgraph(g, vantage);
     const core::PGraphView view{&pg};
     for (NodeId dest = 0; dest < g.num_nodes(); ++dest) {
-      const auto legacy = pg.derive_path(dest);
+      const core::PathResult derived = core::query_path(pg, {dest});
       const core::KPathResult kp = core::query_k_paths(view, dest, 4);
-      if (legacy.has_value()) {
+      if (derived.found()) {
         ASSERT_FALSE(kp.paths.empty()) << vantage << "->" << dest;
-        EXPECT_EQ(kp.paths[0], *legacy) << vantage << "->" << dest;
+        EXPECT_EQ(kp.paths[0], derived.path) << vantage << "->" << dest;
         for (const Path& p : kp.paths) {
           EXPECT_TRUE(policy_compliant(view, p, dest))
               << vantage << "->" << dest;
@@ -746,17 +751,15 @@ TEST(KPaths, MatchesDerivePathOnConvergedNodeGraphs) {
 TEST(SelfDestination, UnifiedAcrossEveryEntryPoint) {
   const PGraph g = diamond();
 
-  // Deprecated wrappers (the historic divergence this contract fixes).
-  const auto legacy = g.derive_path(0);
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(*legacy, Path{0});
+  // Buffer-reuse form, with the walk capture.
   Path out{7, 7, 7};  // dirty buffer: must be replaced, not appended
   std::vector<NodeId> visited;
-  EXPECT_TRUE(g.derive_path_into(0, out, &visited));
+  EXPECT_EQ(core::query_path_into(g, core::PathQuery{0, &visited}, out),
+            core::PathStatus::kFound);
   EXPECT_EQ(out, Path{0});
   EXPECT_EQ(visited, std::vector<NodeId>{0});
 
-  // Consolidated API.
+  // Allocating form.
   const core::PathResult r = core::query_path(g, core::PathQuery{0});
   EXPECT_TRUE(r.found());
   EXPECT_EQ(r.path, Path{0});
@@ -802,7 +805,7 @@ TEST(QueryEngine, StatusesCoverTheContract) {
   const QueryEngine::QueryResult ok = engine.query(0, 3);
   EXPECT_EQ(ok.status, QueryEngine::QueryStatus::kOk);
   ASSERT_EQ(ok.paths.size(), 2u);
-  EXPECT_EQ(ok.paths[0], *g.derive_path(3));
+  EXPECT_EQ(ok.paths[0], core::query_path(g, {3}).path);
   EXPECT_EQ(ok.paths[1], (Path{0, 2, 3}));
   EXPECT_EQ(ok.disjoint, 2u);
   EXPECT_EQ(ok.version, 1u);

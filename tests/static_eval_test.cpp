@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "centaur/query.hpp"
 #include "eval/static_eval.hpp"
 #include "policy/valley_free.hpp"
 #include "topology/generator.hpp"
@@ -59,9 +60,9 @@ TEST(BuildNodePGraph, MatchesSolverPaths) {
   EXPECT_EQ(pg.root(), vantage);
   for (NodeId dest = 0; dest < g.num_nodes(); ++dest) {
     const auto solver = policy::ValleyFreeRoutes::compute(g, dest);
-    const auto derived = pg.derive_path(dest);
-    ASSERT_TRUE(derived.has_value()) << dest;
-    EXPECT_EQ(*derived, solver.path_from(vantage)) << dest;
+    const core::PathResult derived = core::query_path(pg, {dest});
+    ASSERT_TRUE(derived.found()) << dest;
+    EXPECT_EQ(derived.path, solver.path_from(vantage)) << dest;
   }
 }
 
