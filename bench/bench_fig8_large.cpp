@@ -19,10 +19,16 @@
 //   * The invariant analyzer stays off: a quiescence sweep re-derives every
 //     (node, destination) pair, which at this scale costs more than the
 //     run it checks.
+//   * The Centaur trial also carries the footprint of every per-node table
+//     family after the cold start (CentaurNode::footprint, summed over the
+//     nodes): live entries, slots, slot bytes and total probe length, as
+//     metrics `tables.<family>.<field>`.  They are a pure function of the
+//     event order, so a table-growth change moves a gated counter.
 #include <iostream>
 #include <string>
 
 #include "bench_util.hpp"
+#include "centaur/centaur_node.hpp"
 #include "eval/experiments.hpp"
 
 using namespace centaur;
@@ -53,6 +59,37 @@ int main(int argc, char** argv) {
   util::TextTable table("Figure 8 large — cold start to quiescence");
   table.header({"Arm", "Wall s", "Sim s", "Events", "Messages", "MB sent",
                 "RSS +MiB"});
+  util::TextTable tables("Centaur per-node tables after the cold start");
+  tables.header({"Family", "Entries", "Slots", "Load", "Slot MiB",
+                 "Probes/entry"});
+
+  // Sums every node's table footprint into trial metrics and table rows.
+  const auto add_footprint = [&](eval::ProtocolRun& run,
+                                 runner::TrialResult& t) {
+    core::CentaurNode::Footprint total;
+    for (topo::NodeId v = 0; v < g.num_nodes(); ++v) {
+      total += static_cast<const core::CentaurNode&>(run.network().node(v))
+                   .footprint();
+    }
+    total.for_each([&](const char* family,
+                       const core::CentaurNode::TableFootprint& f) {
+      const std::string key = std::string("tables.") + family + ".";
+      t.metrics.emplace_back(key + "entries", static_cast<double>(f.entries));
+      t.metrics.emplace_back(key + "slots", static_cast<double>(f.slots));
+      t.metrics.emplace_back(key + "slot_bytes",
+                             static_cast<double>(f.slot_bytes));
+      t.metrics.emplace_back(key + "probes", static_cast<double>(f.probes));
+      const auto ratio = [](std::size_t a, std::size_t b) {
+        return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+      };
+      tables.row({family, util::fmt_count(f.entries), util::fmt_count(f.slots),
+                  util::fmt_double(ratio(f.entries, f.slots), 3),
+                  util::fmt_double(static_cast<double>(f.slot_bytes) /
+                                       (1 << 20),
+                                   2),
+                  util::fmt_double(ratio(f.probes, f.entries), 3)});
+    });
+  };
 
   const auto cold_start = [&](const std::string& name, eval::Protocol proto) {
     const std::uint64_t rss_before = runner::peak_rss_kb();
@@ -67,6 +104,7 @@ int main(int argc, char** argv) {
     t.bytes = run.cold_start().bytes_sent;
     t.peak_rss_delta_kb = runner::peak_rss_kb() - rss_before;
     t.metrics.emplace_back("cold_start_time_s", run.cold_start_time());
+    if (proto == eval::Protocol::kCentaur) add_footprint(run, t);
     table.row({name, util::fmt_double(t.wall_time_s, 1),
                util::fmt_double(run.cold_start_time(), 1),
                util::fmt_count(t.events), util::fmt_count(t.messages),
@@ -82,6 +120,8 @@ int main(int argc, char** argv) {
   cold_start("centaur", eval::Protocol::kCentaur);
   cold_start("bgp", eval::Protocol::kBgp);
   table.print(std::cout);
+  std::cout << "\n";
+  tables.print(std::cout);
 
   io.report.add_note("topology: tiered_internet caida_like n=" +
                      std::to_string(g.num_nodes()) + " links=" +

@@ -279,6 +279,78 @@ void BM_PermissionListLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PermissionListLookup)->Range(8, 1024);
 
+// Lookups in a per-graph table at the fullest load before it doubles
+// (7/8 of `cap`, util/load_rule.hpp).  The keys are dense ids 0..n-1, the
+// layout NodeMap's home slot favors, or a fixed-seed scattered sample of
+// [0, 2^20), like the received graphs of the 16-origin runs; `miss` looks
+// up as many keys the table does not hold.  The counters are deterministic:
+// the capacity and the mean probe length of the timed lookups.
+struct FullTableKeys {
+  std::vector<NodeId> present;
+  std::vector<NodeId> lookups;
+};
+
+FullTableKeys full_table_keys(const benchmark::State& state) {
+  const auto cap = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = cap * 7 / 8;
+  std::vector<NodeId> ids(2 * n);
+  if (state.range(1) == 0) {
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i);
+  } else {
+    util::Rng rng(0x5CA77E4 ^ cap);
+    const auto sample = rng.sample_without_replacement(std::size_t{1} << 20,
+                                                       ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<NodeId>(sample[i]);
+    }
+  }
+  const auto mid = ids.begin() + static_cast<std::ptrdiff_t>(n);
+  FullTableKeys keys{{ids.begin(), mid}, {}};
+  if (state.range(2) == 0) {
+    keys.lookups = keys.present;
+  } else {
+    keys.lookups.assign(mid, ids.end());
+  }
+  return keys;
+}
+
+template <typename Map, typename Fill>
+void time_full_table_finds(benchmark::State& state, Map& m, Fill fill) {
+  const FullTableKeys keys = full_table_keys(state);
+  for (const NodeId id : keys.present) fill(m, id);
+  std::size_t probes = 0;
+  for (const NodeId id : keys.lookups) probes += m.probe_length(id);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.find(keys.lookups[i]));
+    if (++i == keys.lookups.size()) i = 0;
+  }
+  state.counters["capacity"] = static_cast<double>(m.capacity());
+  state.counters["probes_per_find"] =
+      static_cast<double>(probes) / static_cast<double>(keys.lookups.size());
+}
+
+void BM_NodeMapFind(benchmark::State& state) {
+  PGraph::AdjVec m;  // a parents index
+  time_full_table_finds(state, m, [](PGraph::AdjVec& t, NodeId id) {
+    t.ensure(id).push_back(id + 1);
+  });
+}
+BENCHMARK(BM_NodeMapFind)
+    ->ArgNames({"cap", "scattered", "miss"})
+    ->ArgsProduct({{32, 256, 4096}, {0, 1}, {0, 1}});
+
+void BM_FlatMapFind(benchmark::State& state) {
+  using FailChains = core::CentaurNode::FailChains;
+  FailChains m;
+  time_full_table_finds(state, m, [](FailChains& t, NodeId id) {
+    t[id].push_back(id);
+  });
+}
+BENCHMARK(BM_FlatMapFind)
+    ->ArgNames({"cap", "scattered", "miss"})
+    ->ArgsProduct({{32, 256, 4096}, {0, 1}, {0, 1}});
+
 // Console reporting plus collection of per-iteration runs into the shared
 // JSON schema (wall_time_s = mean real time per iteration; iteration count
 // and items/s travel as metrics).  Aggregate rows (BigO/RMS) stay

@@ -27,15 +27,23 @@ void remove_path_from_pgraph(PGraph& g, const Path& path) {
         "remove_path_from_pgraph: path must start at root");
   }
   const NodeId dest = path.back();
-  g.unmark_destination(dest);
+  const auto next_hop = [&path](std::size_t i) {
+    return i + 2 < path.size() ? path[i + 2] : kNoNextHop;
+  };
+  // Check every link before the first change, so a path the graph does not
+  // carry throws with the graph untouched.
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId next = (i + 2 < path.size()) ? path[i + 2] : kNoNextHop;
-    if (!g.withdraw_permission(path[i], path[i + 1], dest, next)) {
+    const PermissionList* list = g.plist(path[i], path[i + 1]);
+    if (list == nullptr || !list->permits(dest, next_hop(i))) {
       throw std::logic_error("remove_path_from_pgraph: link " +
                              std::to_string(path[i]) + "->" +
                              std::to_string(path[i + 1]) +
                              " does not carry the path");
     }
+  }
+  g.unmark_destination(dest);
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    g.withdraw_permission(path[i], path[i + 1], dest, next_hop(i));
   }
 }
 

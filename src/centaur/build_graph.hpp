@@ -19,8 +19,8 @@ void add_path_to_pgraph(PGraph& g, const Path& path);
 /// Inverse of add_path_to_pgraph: removes the path's permission entries,
 /// unmarks the destination, and drops every link whose list empties
 /// (S4.3.2's counter rule: no selected path uses it any more).  Throws
-/// std::logic_error when a link of the path does not carry its entry —
-/// the path was never added, or was removed already.
+/// std::logic_error, leaving `g` unchanged, when a link of the path does
+/// not carry its entry — the path was never added, or was removed already.
 void remove_path_from_pgraph(PGraph& g, const Path& path);
 
 /// Builds the local P-graph of `root` from its selected paths.

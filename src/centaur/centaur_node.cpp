@@ -139,6 +139,13 @@ std::vector<NodeId> CentaurNode::refresh_derived(
     }
 
     if (entry == nullptr) {
+      // The first insert sizes the cache once, for every id that may
+      // originate; a graph that never carries a destination reserves none.
+      if (state.dests.capacity() == 0) {
+        state.dests.reserve(config_.originate_limit != 0
+                                ? config_.originate_limit
+                                : graph_.num_nodes());
+      }
       bool inserted = false;
       entry = &state.dests.ensure(dest, inserted);
     }
@@ -829,6 +836,62 @@ const CentaurNode::FailChains* CentaurNode::neighbor_fail_chains(
     NodeId neighbor) const {
   const NeighborState* state = rib_.find(neighbor);
   return state == nullptr ? nullptr : &state->fail_chains;
+}
+
+CentaurNode::TableFootprint& CentaurNode::TableFootprint::operator+=(
+    const TableFootprint& o) {
+  entries += o.entries;
+  slots += o.slots;
+  slot_bytes += o.slot_bytes;
+  probes += o.probes;
+  return *this;
+}
+
+CentaurNode::Footprint& CentaurNode::Footprint::operator+=(
+    const Footprint& o) {
+  dest_caches += o.dest_caches;
+  fail_chains += o.fail_chains;
+  chain_indexes += o.chain_indexes;
+  local_parents += o.local_parents;
+  local_lists += o.local_lists;
+  received_parents += o.received_parents;
+  received_lists += o.received_lists;
+  full_view += o.full_view;
+  cone_view += o.cone_view;
+  return *this;
+}
+
+namespace {
+
+/// Footprint of a NodeMap or FlatMap.
+template <typename Map>
+CentaurNode::TableFootprint hashed_footprint(const Map& m) {
+  CentaurNode::TableFootprint f{m.size(), m.capacity(),
+                                m.capacity() * Map::kSlotBytes, 0};
+  for (const auto& [key, value] : m) f.probes += m.probe_length(key);
+  return f;
+}
+
+}  // namespace
+
+CentaurNode::Footprint CentaurNode::footprint() const {
+  Footprint f;
+  for (const auto& [nbr, state] : rib_) {
+    const DestCache& dests = state.dests;
+    f.dest_caches += TableFootprint{dests.size(), dests.capacity(),
+                                    dests.capacity() * DestCache::kSlotBytes,
+                                    dests.size()};
+    f.fail_chains += hashed_footprint(state.fail_chains);
+    f.chain_indexes += hashed_footprint(state.chain_index);
+    f.received_parents += hashed_footprint(state.graph.parent_map());
+    f.received_lists += hashed_footprint(state.graph.plist_map());
+  }
+  f.local_parents = hashed_footprint(local_.parent_map());
+  f.local_lists = hashed_footprint(local_.plist_map());
+  f.full_view = hashed_footprint(exported_full_.links);
+  f.cone_view = hashed_footprint(exported_cone_.links);
+  f.cone_view += hashed_footprint(cone_entries_);
+  return f;
 }
 
 std::optional<Path> CentaurNode::selected_path(NodeId dest) const {

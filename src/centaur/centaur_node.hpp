@@ -252,6 +252,47 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// state for it.
   const FailChains* neighbor_fail_chains(topo::NodeId neighbor) const;
 
+  /// Size of one family of per-node tables (DESIGN.md §5.5).  `slot_bytes`
+  /// is slots x slot size: spilled small-vector heap and allocator headers
+  /// are not counted.  `probes` is the total probe length of finding every
+  /// live key once (one per key in a direct-indexed table).
+  struct TableFootprint {
+    std::size_t entries = 0;
+    std::size_t slots = 0;
+    std::size_t slot_bytes = 0;
+    std::size_t probes = 0;
+
+    TableFootprint& operator+=(const TableFootprint& o);
+  };
+  /// The footprint of every per-node table, by container family.
+  struct Footprint {
+    TableFootprint dest_caches;       ///< NeighborState::dests
+    TableFootprint fail_chains;       ///< NeighborState::fail_chains
+    TableFootprint chain_indexes;     ///< NeighborState::chain_index
+    TableFootprint local_parents;     ///< the local graph's parents index
+    TableFootprint local_lists;       ///< its Permission-List table
+    TableFootprint received_parents;  ///< the received graphs' parents
+    TableFootprint received_lists;    ///< their Permission-List tables
+    TableFootprint full_view;         ///< the full export view's links
+    TableFootprint cone_view;         ///< the cone view's + cone_entries_
+
+    Footprint& operator+=(const Footprint& o);
+    /// Calls fn(name, family) for every family, in the order above.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      fn("dest_caches", dest_caches);
+      fn("fail_chains", fail_chains);
+      fn("chain_indexes", chain_indexes);
+      fn("local_parents", local_parents);
+      fn("local_lists", local_lists);
+      fn("received_parents", received_parents);
+      fn("received_lists", received_lists);
+      fn("full_view", full_view);
+      fn("cone_view", cone_view);
+    }
+  };
+  Footprint footprint() const;
+
  private:
   /// Per-neighbor RIB state: the assembled P-graph plus caches that make
   /// steady-phase processing incremental — one DestState per marked

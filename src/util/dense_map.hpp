@@ -2,8 +2,10 @@
 // a direct-indexed slot vector plus a present bitmap.  find/ensure/erase
 // are single array hits — no hashing, no probing — and iteration walks keys
 // ascending, so downstream consumers that need sorted order get it for
-// free.  Grows to the largest inserted key + 1; intended for id spaces
-// bounded by the network size.
+// free.  Intended for id spaces bounded by the network size: reserve() the
+// key range once, before the first insert, and the slot arrays are
+// allocated exactly; an insert past the reserved range grows them to the
+// key + 1 (with the vector's geometric overshoot).
 //
 // Values are constructed once per slot and RECYCLED: erase only clears the
 // present bit, and re-inserting a key calls V::clear() on the old value
@@ -21,6 +23,9 @@ namespace centaur::util {
 template <typename V>
 class DenseMap {
  public:
+  /// Bytes per slot: the value plus its present flag.
+  static constexpr std::size_t kSlotBytes = sizeof(V) + sizeof(std::uint8_t);
+
   V* find(std::uint32_t key) {
     return key < present_.size() && present_[key] != 0 ? &values_[key]
                                                        : nullptr;
@@ -66,6 +71,8 @@ class DenseMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Value slots allocated (0 until the first insert or reserve).
+  std::size_t capacity() const { return values_.capacity(); }
 
   /// Iteration item, `first`/`second` named for structured bindings like
   /// the map types this replaces.

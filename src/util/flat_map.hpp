@@ -3,7 +3,7 @@
 // The seed kept P-graph links and adjacency in node-based std::map /
 // std::unordered_map containers: every entry was its own heap allocation and
 // every lookup a pointer chase.  FlatMap stores slots contiguously with
-// linear probing (power-of-two capacity, 70% max load), deletes with
+// linear probing (the 7/8 load rule of load_rule.hpp), deletes with
 // Knuth's backward-shift compaction (Algorithm R) so no tombstones
 // accumulate, and reserves one key value (all bits set) as the empty
 // sentinel — which no caller can hit: packed DirectedLink keys would need a
@@ -19,6 +19,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/load_rule.hpp"
 
 namespace centaur::util {
 
@@ -44,6 +46,9 @@ class FlatMap {
   };
 
  public:
+  /// Bytes per slot (capacity x kSlotBytes is the table's footprint).
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+
   class const_iterator {
    public:
     const_iterator(const Slot* slot, const Slot* end) : slot_(slot), end_(end) {
@@ -70,6 +75,8 @@ class FlatMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (0 until the first insert or reserve).
+  std::size_t capacity() const { return slots_.size(); }
 
   const_iterator begin() const {
     return const_iterator(slots_.data(), slots_.data() + slots_.size());
@@ -87,10 +94,10 @@ class FlatMap {
     size_ = 0;
   }
 
-  /// Pre-sizes the table for `n` entries without rehashing on the way there.
+  /// Pre-sizes the table for `n` entries without rehashing on the way
+  /// there: the capacity `n` inserts reach.
   void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    while (n * 10 > cap * 7) cap *= 2;
+    const std::size_t cap = capacity_for(n);
     if (cap > slots_.size()) rehash(cap);
   }
 
@@ -100,38 +107,34 @@ class FlatMap {
 
   const V* find(Key k) const {
     if (size_ == 0) return nullptr;
-    std::size_t i = mix(k) & mask_;
-    while (true) {
-      const Slot& s = slots_[i];
-      if (s.key == k) return &s.value;
-      if (s.key == kEmptyKey) return nullptr;
-      i = (i + 1) & mask_;
-    }
+    const Slot& s = slots_[locate(k)];
+    return s.key == k ? &s.value : nullptr;
+  }
+
+  /// Slots a find() of `k` examines (1: found or rejected at its home
+  /// slot); layout introspection for tests and footprints.
+  std::size_t probe_length(Key k) const {
+    return size_ == 0 ? 0 : ((locate(k) - (mix(k) & mask_)) & mask_) + 1;
   }
 
   std::size_t count(Key k) const { return find(k) == nullptr ? 0 : 1; }
 
   /// Returns the value for `k`, inserting a default-constructed one if
-  /// absent; `inserted` reports which happened.
+  /// absent; `inserted` reports which happened.  Inserting may rehash,
+  /// which invalidates pointers and references into the map.
   V& ensure(Key k, bool& inserted) {
-    if ((size_ + 1) * 10 > slots_.size() * 7) {
-      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
-    }
-    std::size_t i = mix(k) & mask_;
-    while (true) {
-      Slot& s = slots_[i];
-      if (s.key == k) {
-        inserted = false;
-        return s.value;
+    if (slots_.empty()) rehash(kMinTableCapacity);
+    std::size_t i = locate(k);
+    inserted = slots_[i].key != k;
+    if (inserted) {
+      if (!within_load(size_ + 1, slots_.size())) {
+        rehash(slots_.size() * 2);
+        i = locate(k);
       }
-      if (s.key == kEmptyKey) {
-        s.key = k;
-        ++size_;
-        inserted = true;
-        return s.value;
-      }
-      i = (i + 1) & mask_;
+      slots_[i].key = k;
+      ++size_;
     }
+    return slots_[i].value;
   }
 
   V& operator[](Key k) {
@@ -143,12 +146,8 @@ class FlatMap {
   /// without tombstones.  Returns false if absent.
   bool erase(Key k) {
     if (size_ == 0) return false;
-    std::size_t hole = mix(k) & mask_;
-    while (true) {
-      if (slots_[hole].key == k) break;
-      if (slots_[hole].key == kEmptyKey) return false;
-      hole = (hole + 1) & mask_;
-    }
+    std::size_t hole = locate(k);
+    if (slots_[hole].key != k) return false;
     std::size_t j = hole;
     while (true) {
       j = (j + 1) & mask_;
@@ -169,8 +168,6 @@ class FlatMap {
   }
 
  private:
-  static constexpr std::size_t kMinCapacity = 16;
-
   static std::size_t mix(Key k) {
     std::uint64_t x = static_cast<std::uint64_t>(k);
     x ^= x >> 33;
@@ -181,16 +178,21 @@ class FlatMap {
     return static_cast<std::size_t>(x);
   }
 
+  /// Slot holding `k`, or the empty slot that ends its probe chain.
+  std::size_t locate(Key k) const {
+    std::size_t i = mix(k) & mask_;
+    while (slots_[i].key != k && slots_[i].key != kEmptyKey) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
   void rehash(std::size_t cap) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(cap, Slot{});
     mask_ = cap - 1;
     for (Slot& s : old) {
-      if (s.key == kEmptyKey) continue;
-      std::size_t i = mix(s.key) & mask_;
-      while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
-      slots_[i].key = s.key;
-      slots_[i].value = std::move(s.value);
+      if (s.key != kEmptyKey) slots_[locate(s.key)] = std::move(s);
     }
   }
 

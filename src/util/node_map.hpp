@@ -4,8 +4,8 @@
 // index), each holding only the nodes on paths toward the originated
 // destinations.  Storage indexed by global AS id made every (node,
 // neighbor) pair cost O(n) — quadratic in aggregate.  NodeMap is one
-// open-addressing table (linear probing, power-of-two capacity, 70 % max
-// load) whose size follows the content instead.
+// open-addressing table (linear probing, the 7/8 load rule of
+// load_rule.hpp) whose size follows the content instead.
 //
 // The home slot of `id` is its low bits with the bits above the capacity
 // folded in: `(id ^ (id >> log2(capacity))) & (capacity - 1)`.  Below the
@@ -31,6 +31,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/load_rule.hpp"
+
 namespace centaur::util {
 
 template <typename V>
@@ -51,6 +53,8 @@ class NodeMap {
 
   /// Ids with a slot (values emptied in place included).
   std::size_t size() const { return size_; }
+  /// Slots allocated (0 until the first insert or reserve).
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Value for `id`, or nullptr when it has no slot.  A non-null result may
   /// be a value emptied in place — treat empty as absent.
@@ -63,28 +67,29 @@ class NodeMap {
     return const_cast<V*>(std::as_const(*this).find(id));
   }
 
-  /// Value for `id`, default-constructed if absent.  May rehash, which
-  /// invalidates pointers and references into the map.
+  /// Value for `id`, default-constructed if absent.  Inserting may rehash,
+  /// which invalidates pointers and references into the map.
   V& ensure(Key id) {
     if (id == kEmptyKey) {
       throw std::invalid_argument("NodeMap::ensure: reserved id");
     }
-    if ((size_ + 1) * 10 > slots_.size() * 7) {
-      rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
-    }
-    Slot& s = slots_[locate(id)];
-    if (s.key == kEmptyKey) {
-      s.key = id;
+    if (slots_.empty()) rehash(kMinTableCapacity);
+    std::size_t i = locate(id);
+    if (slots_[i].key == kEmptyKey) {
+      if (!within_load(size_ + 1, slots_.size())) {
+        rehash(slots_.size() * 2);
+        i = locate(id);
+      }
+      slots_[i].key = id;
       ++size_;
     }
-    return s.value;
+    return slots_[i].value;
   }
 
   /// Pre-sizes the table for `count` ids (no rehash cascade while a graph
-  /// of known size is assembled).
+  /// of known size is assembled): the capacity `count` inserts reach.
   void reserve(std::size_t count) {
-    std::size_t cap = kMinCapacity;
-    while (count * 10 > cap * 7) cap *= 2;
+    const std::size_t cap = capacity_for(count);
     if (cap > slots_.size()) rehash(cap);
   }
 
@@ -151,8 +156,6 @@ class NodeMap {
   }
 
  private:
-  static constexpr std::size_t kMinCapacity = 16;
-
   std::size_t home(Key id) const { return (id ^ (id >> shift_)) & mask_; }
 
   /// Slot holding `id`, or the empty slot that ends its probe chain.

@@ -95,6 +95,7 @@ TEST(BuildGraph, RandomAddRemoveKeepsLinksExactlyWhileCountersArePositive) {
       if (other != it->second) {
         PGraph copy = g;
         EXPECT_THROW(remove_path_from_pgraph(copy, other), std::logic_error);
+        EXPECT_EQ(copy, g) << "step " << step;
       }
       remove_path_from_pgraph(g, it->second);
       count(it->second, -1);
@@ -106,6 +107,7 @@ TEST(BuildGraph, RandomAddRemoveKeepsLinksExactlyWhileCountersArePositive) {
       } else {
         PGraph copy = g;
         EXPECT_THROW(remove_path_from_pgraph(copy, other), std::logic_error);
+        EXPECT_EQ(copy, g) << "step " << step;
       }
     }
     std::size_t positive = 0;
@@ -123,6 +125,23 @@ TEST(BuildGraph, RandomAddRemoveKeepsLinksExactlyWhileCountersArePositive) {
     ASSERT_EQ(g.plist_map().size(), positive) << "step " << step;
     ASSERT_EQ(g, build_local_pgraph(kRoot, selected)) << "step " << step;
   }
+}
+
+TEST(BuildGraph, RemovingAnAbsentPathThrowsWithTheGraphUnchanged) {
+  PGraph g(0);
+  add_path_to_pgraph(g, Path{0, 1, 2, 3});
+  const PGraph before = g;
+  // 0->1 carries the pair (3, next hop 2) of both paths, but 1->2 carries
+  // (3, 3), not the (3, 4) of {0,1,2,4,3}: nothing may change before the
+  // throw, neither the mark of 3 nor the pair (and so the link) 0->1.
+  EXPECT_THROW(remove_path_from_pgraph(g, Path{0, 1, 2, 4, 3}),
+               std::logic_error);
+  EXPECT_EQ(g, before);
+  EXPECT_TRUE(g.is_destination(3));
+  EXPECT_TRUE(g.has_link(0, 1));
+  remove_path_from_pgraph(g, Path{0, 1, 2, 3});
+  EXPECT_EQ(g.num_links(), 0u);
+  EXPECT_FALSE(g.is_destination(3));
 }
 
 TEST(BuildGraph, PermissionListsOnMultiHomedHead) {

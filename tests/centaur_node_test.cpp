@@ -197,6 +197,60 @@ TEST(CentaurNode, NoOpPolicyChangeSendsNothing) {
   EXPECT_EQ(net.net().window().messages_sent, 0u);
 }
 
+// ------------------------------------------------- destination caches ----
+
+TEST(CentaurNode, DestinationCachesReserveTheOriginatedRangeOnce) {
+  // Provider chain 0 > 1 > 2 > 3; only ids below 2 originate.  2 and 3
+  // have no destination in their customer cones, so their providers' caches
+  // for them never hold one and reserve nothing; every other cache reserves
+  // the two originated ids on its first insert.
+  AsGraph g(4);
+  g.add_link(1, 0, Relationship::kProvider);
+  g.add_link(2, 1, Relationship::kProvider);
+  g.add_link(3, 2, Relationship::kProvider);
+  CentaurNode::Config config;
+  config.originate_limit = 2;
+  TestNet<CentaurNode> limited(g, [&config](NodeId, AsGraph& graph) {
+    return std::make_unique<CentaurNode>(graph, config);
+  });
+  const auto capacity = [&limited](NodeId v, NodeId nbr) {
+    const CentaurNode::DestCache* cache =
+        limited.node(v).neighbor_derived(nbr);
+    EXPECT_NE(cache, nullptr) << v << " has no state for " << nbr;
+    return cache != nullptr ? cache->capacity() : ~std::size_t{0};
+  };
+  EXPECT_EQ(capacity(1, 2), 0u);
+  EXPECT_EQ(capacity(2, 3), 0u);
+  EXPECT_EQ(capacity(0, 1), 2u);
+  EXPECT_EQ(capacity(1, 0), 2u);
+  EXPECT_EQ(capacity(2, 1), 2u);
+  EXPECT_EQ(capacity(3, 2), 2u);
+
+  // Every node originates, so every cache holds its neighbor's own
+  // destination at least: each reserves all ids once and keeps that size
+  // through churn (a session that goes down takes its cache along).
+  util::Rng rng(99);
+  TestNet<CentaurNode> net(
+      topo::tiered_internet(topo::caida_like_params(40), rng));
+  const std::size_t n = net.graph().num_nodes();
+  const auto expect_full_range = [&net, n] {
+    for (NodeId v = 0; v < n; ++v) {
+      for (const NodeId nbr : net.node(v).rib_neighbors()) {
+        const CentaurNode::DestCache* cache = net.node(v).neighbor_derived(nbr);
+        EXPECT_FALSE(cache->empty()) << v << " for " << nbr;
+        EXPECT_EQ(cache->capacity(), n) << v << " for " << nbr;
+      }
+    }
+  };
+  expect_full_range();
+  for (topo::LinkId link = 0; link < 6; ++link) {
+    net.flip(link, false);
+    expect_full_range();
+    net.flip(link, true);
+  }
+  expect_full_range();
+}
+
 // ------------------------------------------------ larger random sweeps ----
 
 TEST(CentaurNode, ConvergesOnTieredTopology) {

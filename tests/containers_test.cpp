@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "centaur/permission_list.hpp"
 #include "centaur/pgraph.hpp"
 #include "util/flat_map.hpp"
+#include "util/load_rule.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
 #include "util/unique_function.hpp"
@@ -139,6 +141,111 @@ TEST(FlatMap, PackedLinkKeys) {
   EXPECT_EQ(*m.find(pack(1, 2)), 12);
   EXPECT_EQ(*m.find(pack(2, 1)), 21);
   EXPECT_EQ(m.find(pack(1, 1)), nullptr);
+}
+
+TEST(FlatMap, DoublesAtTheFirstEntryPastSevenEighths) {
+  // The 7/8 rule (util/load_rule.hpp): a table of `cap` slots holds
+  // floor(7/8 * cap) entries and doubles on the next insert.
+  FlatMap<std::uint64_t, int> m;
+  EXPECT_EQ(m.capacity(), 0u);
+  std::size_t cap = 16;
+  for (std::uint64_t k = 0; k < 4000; ++k) {
+    m[k * 7919] = 1;
+    if (m.size() > cap * 7 / 8) cap *= 2;
+    ASSERT_EQ(m.capacity(), cap) << m.size() << " entries";
+    ASSERT_EQ(m.capacity(), capacity_for(m.size()));
+    // Updating a present key never grows the table, even when full.
+    m[0] = 2;
+    m[k * 7919] = 3;
+    ASSERT_EQ(m.capacity(), cap) << m.size() << " entries, present key";
+  }
+  // The first thresholds, spelled out: 14 of 16, 28 of 32, 56 of 64.
+  EXPECT_EQ(capacity_for(14), 16u);
+  EXPECT_EQ(capacity_for(15), 32u);
+  EXPECT_EQ(capacity_for(28), 32u);
+  EXPECT_EQ(capacity_for(29), 64u);
+  EXPECT_EQ(capacity_for(56), 64u);
+  EXPECT_EQ(capacity_for(57), 128u);
+  EXPECT_EQ(capacity_for(0), 0u);
+}
+
+TEST(FlatMap, ReserveThenInsertNeverRehashes) {
+  for (const std::size_t n :
+       std::vector<std::size_t>{0, 1, 14, 15, 28, 29, 200, 1792, 1793}) {
+    SCOPED_TRACE(n);
+    FlatMap<std::uint64_t, int> reserved;
+    reserved.reserve(n);
+    const std::size_t cap = reserved.capacity();
+    FlatMap<std::uint64_t, int> grown;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      reserved[k * 977] = 1;
+      grown[k * 977] = 1;
+      ASSERT_EQ(reserved.capacity(), cap) << "rehash at entry " << k + 1;
+    }
+    EXPECT_EQ(cap, grown.capacity());
+  }
+}
+
+TEST(FlatMap, MatchesAMapModelAtNearFullLoad) {
+  // Random inserts, erases and finds on a 64-slot table held at 48-56
+  // entries (56 = 7/8 of 64: the fullest load before doubling), checked
+  // against a std::map.  Probe chains there run long and wrap from the last
+  // slot to the first, which is where backward-shift erase must still move
+  // every displaced entry back.
+  constexpr std::size_t kCap = 64;
+  constexpr std::size_t kMax = kCap * 7 / 8;
+  using Map = FlatMap<std::uint32_t, std::uint32_t>;
+  Map m;
+  m.reserve(kMax);
+  ASSERT_EQ(m.capacity(), kCap);
+  std::map<std::uint32_t, std::uint32_t> model;
+  std::vector<std::uint32_t> pool;
+  Rng rng(77);
+  for (int i = 0; i < 96; ++i) {
+    pool.push_back(static_cast<std::uint32_t>(rng.next() % (1u << 20)));
+  }
+  // Slot index of a live value: its offset from the first live slot's value,
+  // which is slot 0 whenever the live slots span the whole table.
+  const auto slot_span = [&m](const std::uint32_t* v) {
+    const auto* first = reinterpret_cast<const char*>(&(*m.begin()).second);
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(v) - first) /
+           Map::kSlotBytes;
+  };
+  std::size_t wrapped_seen = 0;
+  for (std::uint32_t step = 0; step < 40000; ++step) {
+    const std::uint32_t k = pool[rng.index(pool.size())];
+    const std::size_t op = rng.index(4);
+    if (op < 2 && (m.size() < kMax || model.count(k) > 0)) {
+      m[k] = step;
+      model[k] = step;
+    } else if (op == 2 && m.size() > kMax - 8) {
+      ASSERT_EQ(m.erase(k), model.erase(k) > 0) << "step " << step;
+    } else {
+      const auto it = model.find(k);
+      const std::uint32_t* v = m.find(k);
+      ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
+      if (v != nullptr) {
+        ASSERT_EQ(*v, it->second);
+      }
+    }
+    ASSERT_EQ(m.size(), model.size());
+    ASSERT_EQ(m.capacity(), kCap) << "step " << step;
+    if (step % 16 != 0) continue;
+    for (const auto& [key, value] : model) {
+      const std::uint32_t* v = m.find(key);
+      ASSERT_NE(v, nullptr) << "step " << step << " key " << key;
+      ASSERT_EQ(*v, value);
+    }
+    // A live key whose probe length exceeds its slot index + 1 was homed
+    // near the end of the table and found past the wrap.
+    std::size_t last = 0;
+    for (const auto& [key, value] : m) last = slot_span(&value);
+    if (last != kCap - 1) continue;
+    for (const auto& [key, value] : m) {
+      if (m.probe_length(key) > slot_span(&value) + 1) ++wrapped_seen;
+    }
+  }
+  EXPECT_GT(wrapped_seen, 0u);
 }
 
 // ------------------------------------------------------------- VecMap -----
@@ -354,6 +461,8 @@ TEST(SmallVec, LayoutSizesOnLp64) {
   EXPECT_EQ(core::PGraph::AdjVec::kSlotBytes, 24u);
   EXPECT_EQ(sizeof(core::PermissionList), 32u);
   EXPECT_EQ(sizeof(core::CentaurNode::DestState), 40u);
+  EXPECT_EQ(core::PGraph::PlistMap::kSlotBytes, 40u);
+  EXPECT_EQ(core::CentaurNode::DestCache::kSlotBytes, 41u);
 }
 
 TEST(SmallVec, SortedHelpers) {

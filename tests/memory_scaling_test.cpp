@@ -6,7 +6,7 @@
 // aggregate grows quadratically — a 4,000-node cold start then needs more
 // than 15 GB.  This test cold-starts Centaur on that topology with 16
 // origins and bounds the process's peak RSS (VmHWM) at 1 GB; content-sized
-// state peaks near 85 MB in a Release build.  It is the only test in its
+// state peaks near 77 MB in a Release build.  It is the only test in its
 // binary, so nothing else raises the high-water mark first.
 #include <gtest/gtest.h>
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/load_rule.hpp"
 #include "util/node_map.hpp"
 #include "util/small_vec.hpp"
 
@@ -134,6 +135,47 @@ TEST(NodeMap, ReserveKeepsContent) {
   // After a large reserve every id below the capacity is its own home.
   m.ensure(9'999).push_back(9);
   EXPECT_EQ(m.probe_length(9'999), 1u);
+}
+
+TEST(NodeMap, DoublesAtTheFirstEntryPastSevenEighths) {
+  // The 7/8 rule (util/load_rule.hpp), shared with FlatMap: a table of
+  // `cap` slots holds floor(7/8 * cap) ids and doubles on the next one;
+  // ensure() of an id already present never grows it, even when full.  A
+  // graph of 200 ids ends at 256 slots (it took 512 under a 70 % rule).
+  NodeMap<List> m;
+  EXPECT_EQ(m.capacity(), 0u);
+  std::size_t cap = 16;
+  for (std::uint32_t id = 0; id < 4000; ++id) {
+    m.ensure(id * 3);
+    if (m.size() > cap * 7 / 8) cap *= 2;
+    ASSERT_EQ(m.capacity(), cap) << m.size() << " ids";
+    m.ensure(0);
+    m.ensure(id * 3);
+    ASSERT_EQ(m.capacity(), cap) << m.size() << " ids, present id";
+  }
+  EXPECT_EQ(capacity_for(200), 256u);
+}
+
+TEST(NodeMap, ReserveThenEnsureNeverRehashes) {
+  for (const bool scattered : {false, true}) {
+    for (const std::size_t n :
+         std::vector<std::size_t>{0, 1, 14, 15, 28, 29, 200, 1792, 1793}) {
+      SCOPED_TRACE(::testing::Message() << n << (scattered ? " scattered" : ""));
+      const auto id = [scattered](std::size_t i) {
+        return static_cast<std::uint32_t>(scattered ? i * 65'537 + 11 : i);
+      };
+      NodeMap<List> reserved;
+      reserved.reserve(n);
+      const std::size_t cap = reserved.capacity();
+      NodeMap<List> grown;
+      for (std::size_t i = 0; i < n; ++i) {
+        reserved.ensure(id(i)).push_back(1);
+        grown.ensure(id(i)).push_back(1);
+        ASSERT_EQ(reserved.capacity(), cap) << "rehash at id " << i + 1;
+      }
+      EXPECT_EQ(cap, grown.capacity());
+    }
+  }
 }
 
 TEST(NodeMap, IdsNearTheEmptySentinel) {
