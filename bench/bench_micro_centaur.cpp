@@ -194,50 +194,6 @@ void BM_EncodeDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeDelta)->Range(64, 512);
 
-void BM_EncodeBatch(benchmark::State& state) {
-  // Datagram batching (CENTAUR_BATCH_DATAGRAMS): encode k same-neighbor
-  // updates as one batch datagram and report the byte delta against k
-  // separate single-delta datagrams.  Each member trades its two-byte
-  // header for a one-byte flags field, so the batch saves k-2 bytes minus
-  // the member-count varint — the counters make that exact delta a gated
-  // datapoint (batching is about datagram count, not bytes; the bytes must
-  // simply never regress).
-  const auto g = make_topology(static_cast<std::size_t>(state.range(0)));
-  const auto selected = selected_paths(g, 1);
-  const PGraph pg = core::build_local_pgraph(1, selected);
-  const auto all = [](NodeId) { return true; };
-  const core::GraphDelta whole =
-      core::diff_views(core::ExportedView{}, core::make_export_view(pg, all));
-  // Four members, as if four same-instant floods had queued in the outbox;
-  // round-robin over the sorted upserts keeps each member canonical.
-  constexpr std::size_t kMembers = 4;
-  std::vector<core::GraphDelta> members(kMembers);
-  for (std::size_t i = 0; i < whole.upserts.size(); ++i) {
-    members[i % kMembers].upserts.push_back(whole.upserts[i]);
-  }
-  std::vector<const core::GraphDelta*> ptrs;
-  for (const core::GraphDelta& m : members) ptrs.push_back(&m);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        wire::encode_batch(ptrs, wire::PlistEncoding::kExplicit));
-  }
-  const std::size_t batch_bytes =
-      wire::encoded_batch_size(ptrs, wire::PlistEncoding::kExplicit);
-  std::size_t separate_bytes = 0;
-  for (const core::GraphDelta& m : members) {
-    separate_bytes += m.byte_size(false);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch_bytes));
-  // Deterministic workload shape (gated at tolerance 0).
-  state.counters["batch_members"] = static_cast<double>(kMembers);
-  state.counters["batch_bytes"] = static_cast<double>(batch_bytes);
-  state.counters["separate_bytes"] = static_cast<double>(separate_bytes);
-  state.counters["bytes_saved"] =
-      static_cast<double>(separate_bytes - batch_bytes);
-}
-BENCHMARK(BM_EncodeBatch)->Range(64, 512);
-
 void BM_DecodeDelta(benchmark::State& state) {
   const auto g = make_topology(static_cast<std::size_t>(state.range(0)));
   const auto selected = selected_paths(g, 1);

@@ -74,10 +74,9 @@ int main() {
 
   const auto& a = dynamic_cast<core::CentaurNode&>(net.node(A));
   const core::PGraph* from_c = a.neighbor_pgraph(C);
+  const bool hidden = from_c != nullptr && !from_c->has_link(C, D);
   std::cout << "\nA's P-graph learned from C "
-            << (from_c != nullptr && !from_c->has_link(C, D)
-                    ? "does NOT contain"
-                    : "contains")
+            << (hidden ? "does NOT contain" : "contains")
             << " the hidden link C->D.\n";
 
   // Hop-by-hop forwarding check: walk next hops from A toward D.
@@ -87,11 +86,13 @@ int main() {
   while (cur != D && hops++ < 8) {
     const auto& node = dynamic_cast<core::CentaurNode&>(net.node(cur));
     const auto path = node.selected_path(D);
+    if (!path) break;
     cur = (*path)[1];
     std::cout << " -> " << kNames[cur];
   }
-  std::cout << (cur == D ? "   (delivered, no loop)\n"
-                         : "   (LOOP! this must not happen)\n");
+  const bool delivered = cur == D;
+  std::cout << (delivered ? "   (delivered, no loop)\n"
+                          : "   (LOOP! this must not happen)\n");
 
   // The punchline from S2.1: in naive policy-annotated link state, A would
   // have derived <A, C, D> from B's flooded copy of the hidden link and C
@@ -100,5 +101,5 @@ int main() {
                "C (whose own tables avoid C-D only for A's traffic in this\n"
                "policy) could loop packets between A and C — the failure\n"
                "Centaur's downstream-link announcements prevent.\n";
-  return 0;
+  return hidden && delivered ? 0 : 1;
 }

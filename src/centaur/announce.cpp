@@ -190,22 +190,6 @@ void apply_dest_transition(ExportedView& view, PendingDelta& pending,
   }
 }
 
-void record_view_transitions(ExportedView& view, PendingDelta& pending,
-                             const ExportedView& now) {
-  const GraphDelta delta = diff_views(view, now);
-  for (const auto& [link, plist] : delta.upserts) {
-    pending.record_upsert(link, plist,
-                          /*receiver_has_link=*/view.has_link(link.from,
-                                                              link.to));
-  }
-  for (const DirectedLink& link : delta.removes) pending.record_remove(link);
-  for (const NodeId dest : delta.dest_adds) pending.record_dest_add(dest);
-  for (const NodeId dest : delta.dest_removes) {
-    pending.record_dest_remove(dest);
-  }
-  view = now;
-}
-
 // ------------------------------------------------------------ coalescing --
 
 void PendingDelta::record_upsert(const DirectedLink& link,

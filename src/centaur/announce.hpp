@@ -171,13 +171,6 @@ void apply_link_transition(ExportedView& view, PendingDelta& pending,
 void apply_dest_transition(ExportedView& view, PendingDelta& pending,
                            NodeId dest, bool now);
 
-/// Scratch reference for the incremental export plane: replaces `view`
-/// with `now`, feeding every transition between them through the same
-/// per-key recording machinery the incremental path uses — the resulting
-/// wire deltas are bit-identical (CENTAUR_INCREMENTAL=0 floods use this).
-void record_view_transitions(ExportedView& view, PendingDelta& pending,
-                             const ExportedView& now);
-
 /// Outbound coalescing slot: accumulates the view changes recorded since the
 /// last flush and yields their *net* effect as one canonical delta.
 ///

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "wire/wire_format.hpp"
-
 namespace centaur::core {
 
 using policy::Candidate;
@@ -46,22 +44,6 @@ std::string CentaurUpdate::describe() const {
          std::to_string(delta_.dest_adds.size()) + " dests, -" +
          std::to_string(delta_.dest_removes.size()) + " dests" +
          (delta_.reset ? ", reset)" : ")");
-}
-
-CentaurBatchUpdate::CentaurBatchUpdate(
-    std::vector<std::shared_ptr<const CentaurUpdate>> updates,
-    bool bloom_compressed)
-    : updates_(std::move(updates)), bloom_(bloom_compressed) {
-  std::vector<const GraphDelta*> deltas;
-  deltas.reserve(updates_.size());
-  for (const auto& u : updates_) deltas.push_back(&u->delta());
-  byte_size_ = wire::encoded_batch_size(
-      deltas, bloom_ ? wire::PlistEncoding::kBloom
-                     : wire::PlistEncoding::kExplicit);
-}
-
-std::string CentaurBatchUpdate::describe() const {
-  return "centaur-batch(" + std::to_string(updates_.size()) + " updates)";
 }
 
 CentaurNode::CentaurNode(const topo::AsGraph& graph)
@@ -310,7 +292,7 @@ std::optional<Path> CentaurNode::best_candidate_scratch(
 }
 
 bool CentaurNode::reselect(const std::vector<NodeId>& dests) {
-  const bool use_cache = config_.incremental && !config_.ranking;
+  const bool use_cache = !config_.ranking;
   bool any_change = false;
   for (const NodeId dest : dests) {
     if (dest == self()) continue;  // the origin route is fixed
@@ -356,75 +338,31 @@ bool CentaurNode::reselect(const std::vector<NodeId>& dests) {
 
 // ----------------------------------------------------------------- export --
 
-ExportedView CentaurNode::view_for(NodeId neighbor) const {
-  const topo::Relationship rel_to = graph_.rel(self(), neighbor);
-  DestFilter dest_allowed = [this, rel_to](NodeId dest) {
+DestFilter CentaurNode::cone_filter() const {
+  return [this](NodeId dest) {
     const policy::RouteSource* source = selected_class_.find(dest);
-    return source != nullptr && may_export(*source, rel_to);
+    return source != nullptr && cone_exportable(*source);
   };
-  LinkFilter link_allowed;
-  if (config_.export_link_filter) {
-    link_allowed = [this, neighbor](NodeId a, NodeId b) {
-      return config_.export_link_filter(neighbor, a, b);
-    };
+}
+
+void CentaurNode::publish_snapshot() {
+  if (!config_.snapshot_sink ||
+      (changed_dests_.empty() && touched_links_.empty())) {
+    return;
   }
-  return make_export_view(local_, dest_allowed, link_allowed);
+  // Serving-plane publish (DESIGN.md §14.2).  This instance's first publish
+  // hands over no delta: the cell may still hold a crashed predecessor's
+  // snapshot, which the whole graph replaces.
+  if (published_) {
+    config_.snapshot_sink(self(), local_, changed_dests_, touched_links_);
+  } else {
+    published_ = true;
+    config_.snapshot_sink(self(), local_, {}, {});
+  }
 }
 
 void CentaurNode::flood() {
-  if (config_.snapshot_sink &&
-      (!changed_dests_.empty() || !touched_links_.empty())) {
-    // Serving-plane publish (DESIGN.md §14.2): hand the dirty sets to the
-    // snapshot sink before any flood branch consumes or clears them.  This
-    // instance's first publish hands over no delta: the cell may still hold
-    // a crashed predecessor's snapshot, which the whole graph replaces.
-    if (published_) {
-      config_.snapshot_sink(self(), local_, changed_dests_, touched_links_);
-    } else {
-      published_ = true;
-      config_.snapshot_sink(self(), local_, {}, {});
-    }
-  }
-  if (config_.export_link_filter) {
-    // Legacy per-neighbor path: a custom link filter breaks the two-view
-    // sharing, so recompute each neighbor's view in full (used by the
-    // link-hiding examples; fine at example scale).
-    touched_links_.clear();
-    changed_dests_.clear();
-    for (const topo::Neighbor& nb : graph_.neighbors(self())) {
-      if (!neighbor_usable(nb.node)) continue;
-      const ExportedView view = view_for(nb.node);
-      bool first = false;
-      ExportedView& stored = exported_custom_.ensure(nb.node, first);
-      GraphDelta delta = diff_views(stored, view);
-      if (first) delta.reset = true;
-      if (delta.empty()) continue;
-      stored = view;
-      send_update(nb.node, std::make_shared<CentaurUpdate>(
-                               std::move(delta), config_.bloom_plists));
-    }
-    return;
-  }
-
-  if (!config_.incremental) {
-    // Scratch reference (CENTAUR_INCREMENTAL=0): rebuild both category
-    // views in full and diff against the stored copies, ignoring the flood
-    // scratch.  The transitions feed the same pending machinery as the
-    // incremental path, so the wire stream is bit-identical.
-    touched_links_.clear();
-    changed_dests_.clear();
-    const DestFilter cone_allowed = [this](NodeId dest) {
-      const policy::RouteSource* source = selected_class_.find(dest);
-      return source != nullptr && cone_exportable(*source);
-    };
-    record_view_transitions(exported_full_, pending_full_,
-                            make_export_view(local_, nullptr));
-    record_view_transitions(exported_cone_, pending_cone_,
-                            make_export_view(local_, cone_allowed));
-    dispatch_updates();
-    return;
-  }
-
+  publish_snapshot();
   // Incrementally update the two category views from the flood scratch,
   // recording every view transition in the per-category pending deltas
   // (apply_link_transition / apply_dest_transition in announce.cpp hold
@@ -473,49 +411,7 @@ void CentaurNode::flood() {
   dispatch_updates();
 }
 
-void CentaurNode::send_update(NodeId neighbor,
-                              std::shared_ptr<const CentaurUpdate> msg) {
-  if (!config_.batch_datagrams) {
-    net().send(self(), neighbor, std::move(msg));
-    return;
-  }
-  auto slot = std::find_if(outbox_.begin(), outbox_.end(),
-                           [&](const auto& e) { return e.first == neighbor; });
-  if (slot == outbox_.end()) {
-    outbox_.emplace_back(neighbor,
-                         std::vector<std::shared_ptr<const CentaurUpdate>>{});
-    slot = std::prev(outbox_.end());
-  }
-  slot->second.push_back(std::move(msg));
-  if (outbox_flush_scheduled_) return;
-  outbox_flush_scheduled_ = true;
-  // Zero-delay, like the coalescing flush: the batch leaves within the same
-  // instant its members were emitted, so link delays (and thus arrival
-  // times) are unchanged.
-  net().simulator().schedule(0, [this] { flush_outbox(); });
-}
-
-void CentaurNode::flush_outbox() {
-  outbox_flush_scheduled_ = false;
-  for (auto& [neighbor, updates] : outbox_) {
-    if (updates.size() == 1) {
-      // A lone update keeps the single-delta framing: batching must never
-      // cost bytes when there is nothing to batch.
-      net().send(self(), neighbor, std::move(updates.front()));
-    } else {
-      net().send(self(), neighbor,
-                 std::make_shared<CentaurBatchUpdate>(std::move(updates),
-                                                      config_.bloom_plists));
-    }
-  }
-  outbox_.clear();
-}
-
 void CentaurNode::dispatch_updates() {
-  if (!config_.coalesce_updates) {
-    flush_pending();
-    return;
-  }
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
   // Zero-delay: runs within the current instant's burst, after every event
@@ -532,12 +428,10 @@ void CentaurNode::flush_pending() {
   GraphDelta cone_delta = pending_cone_.take();
   std::shared_ptr<const CentaurUpdate> full_msg, cone_msg;
   if (!full_delta.empty()) {
-    full_msg = std::make_shared<CentaurUpdate>(std::move(full_delta),
-                                               config_.bloom_plists);
+    full_msg = std::make_shared<CentaurUpdate>(std::move(full_delta));
   }
   if (!cone_delta.empty()) {
-    cone_msg = std::make_shared<CentaurUpdate>(std::move(cone_delta),
-                                               config_.bloom_plists);
+    cone_msg = std::make_shared<CentaurUpdate>(std::move(cone_delta));
   }
   // Baseline snapshots are shared per category too (built lazily: most
   // flushes have no uninitialized neighbor).
@@ -547,11 +441,10 @@ void CentaurNode::flush_pending() {
     // A leaking node serves everyone the full view (the Gao-Rexford
     // violation under test); set_route_leak re-baselined the affected
     // sessions when it flipped the flag.
-    const bool cone_nbr = !leak_all_ &&
-                          (nb.rel == topo::Relationship::kPeer ||
-                           nb.rel == topo::Relationship::kProvider);
+    const bool cone_nbr = serves_cone(nb.rel);
     bool first = false;
     initialized_nbrs_.ensure(nb.node, first);
+    std::shared_ptr<const CentaurUpdate> msg;
     if (first) {
       // First contact (or session restart): baseline snapshot — a reset
       // delta against the empty view, always sent (the reset itself is the
@@ -561,33 +454,53 @@ void CentaurNode::flush_pending() {
         GraphDelta snapshot = diff_views(
             ExportedView{}, cone_nbr ? exported_cone_ : exported_full_);
         snapshot.reset = true;
-        snap = std::make_shared<CentaurUpdate>(std::move(snapshot),
-                                               config_.bloom_plists);
+        snap = std::make_shared<CentaurUpdate>(std::move(snapshot));
       }
-      send_update(nb.node, snap);
+      msg = snap;
     } else {
-      const auto& msg = cone_nbr ? cone_msg : full_msg;
-      if (msg) send_update(nb.node, msg);
+      msg = cone_nbr ? cone_msg : full_msg;
     }
+    if (msg && config_.export_link_filter) msg = hide_links(nb.node, msg);
+    if (msg) net().send(self(), nb.node, std::move(msg));
   }
+}
+
+std::shared_ptr<const CentaurUpdate> CentaurNode::hide_links(
+    NodeId neighbor, const std::shared_ptr<const CentaurUpdate>& update) const {
+  // The neighbor's view is its category view minus the hidden links
+  // (make_export_view only drops links the filter rejects: lists and head
+  // homing come from the unfiltered local graph), so the category stream
+  // minus the hidden links keeps its copy exact.
+  const auto hidden = [&](const DirectedLink& link) {
+    return !config_.export_link_filter(neighbor, link.from, link.to);
+  };
+  const GraphDelta& delta = update->delta();
+  const bool hides_any =
+      std::any_of(delta.upserts.begin(), delta.upserts.end(),
+                  [&](const auto& upsert) { return hidden(upsert.first); }) ||
+      std::any_of(delta.removes.begin(), delta.removes.end(), hidden);
+  if (!hides_any) return update;
+  GraphDelta trimmed;
+  trimmed.reset = delta.reset;
+  for (const auto& upsert : delta.upserts) {
+    if (!hidden(upsert.first)) trimmed.upserts.push_back(upsert);
+  }
+  for (const DirectedLink& link : delta.removes) {
+    if (!hidden(link)) trimmed.removes.push_back(link);
+  }
+  trimmed.dest_adds = delta.dest_adds;
+  trimmed.dest_removes = delta.dest_removes;
+  if (trimmed.empty()) return nullptr;
+  return std::make_shared<CentaurUpdate>(std::move(trimmed));
 }
 
 // ----------------------------------------------------------------- events --
 
 void CentaurNode::on_message(NodeId from, const sim::MessagePtr& msg) {
   if (!neighbor_usable(from)) return;
-  if (const auto* batch = dynamic_cast<const CentaurBatchUpdate*>(msg.get())) {
-    // Members apply in send order; each is processed exactly as if it had
-    // arrived in its own datagram.
-    for (const auto& update : batch->updates()) process_delta(from, *update);
-    return;
-  }
   const auto* update = dynamic_cast<const CentaurUpdate*>(msg.get());
-  if (update != nullptr) process_delta(from, *update);
-}
-
-void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
-  const GraphDelta& delta = update.delta();
+  if (update == nullptr) return;
+  const GraphDelta& delta = update->delta();
 
   bool inserted = false;
   NeighborState& state = rib_.ensure(from, inserted);
@@ -609,11 +522,9 @@ void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
       return config_.import_link_filter(from, a, b);
     };
   }
-  // The scratch reference plane re-walks everything, so it skips the
-  // per-head report.
-  DeltaReport* const report = config_.incremental ? &report_scratch_ : nullptr;
+  DeltaReport& report = report_scratch_;
   const bool changed =
-      apply_delta(state.graph, delta, self(), import_filter, report);
+      apply_delta(state.graph, delta, self(), import_filter, &report);
   if (!changed && !inserted) return;
 
   // Dirty destinations: a walk can only change at a changed link head it
@@ -624,20 +535,19 @@ void CentaurNode::process_delta(NodeId from, const CentaurUpdate& update) {
   // Destination-mark changes are always dirty.
   std::vector<NodeId>& dirty = dirty_scratch_;
   dirty.clear();
-  if (delta.reset || report == nullptr) {
-    // Session restart — or the scratch reference plane, which re-walks
-    // every marked or previously derived destination on every delta
-    // instead of consulting the chain index.
+  if (delta.reset) {
+    // Session restart: the graph was rebuilt, so re-walk every marked or
+    // previously derived destination.
     dirty.assign(state.graph.destinations().begin(),
                  state.graph.destinations().end());
     for (const auto& [dest, ds] : state.dests) dirty.push_back(dest);
   } else {
-    for (const NodeId head : report->coarse) {
+    for (const NodeId head : report.coarse) {
       if (const auto* idx = state.chain_index.find(head)) {
         dirty.insert(dirty.end(), idx->begin(), idx->end());
       }
     }
-    for (const auto& [head, dest] : report->named) {
+    for (const auto& [head, dest] : report.named) {
       const auto* idx = state.chain_index.find(head);
       if (idx != nullptr && util::sorted_contains(*idx, dest)) {
         dirty.push_back(dest);
@@ -669,26 +579,14 @@ void CentaurNode::on_link_change(NodeId neighbor, bool up) {
     // walks destinations ascending like every other call site.
     std::sort(affected.begin(), affected.end());
     initialized_nbrs_.erase(neighbor);
-    exported_custom_.erase(neighbor);
     if (reselect(affected)) flood();
     return;
   }
-  // Session (re)establishment: send a baseline snapshot; the neighbor
-  // cleared its state for us symmetrically and does the same.
-  if (config_.export_link_filter) {
-    const ExportedView view = view_for(neighbor);
-    GraphDelta snapshot = diff_views(ExportedView{}, view);
-    snapshot.reset = true;
-    exported_custom_[neighbor] = view;
-    if (!snapshot.empty()) {
-      send_update(neighbor, std::make_shared<CentaurUpdate>(
-                                std::move(snapshot), config_.bloom_plists));
-    }
-    return;
-  }
-  // Standard path: the flush notices the (now usable, uninitialized)
-  // neighbor and owes it a baseline snapshot of its category view; going
-  // through dispatch lets a same-instant snapshot share the flush event.
+  // Session (re)establishment: the flush notices the (now usable,
+  // uninitialized) neighbor and owes it a baseline snapshot of its
+  // category view; the neighbor cleared its state for us symmetrically and
+  // does the same.  Going through dispatch lets a same-instant snapshot
+  // share the flush event.
   dispatch_updates();
 }
 
@@ -780,21 +678,20 @@ void CentaurNode::relationships_changed() {
 
   // 4. Neighbor export categories may have flipped (a peer became a
   //    customer), and view content changes even for unchanged selections.
-  //    Re-baseline every session against full-view rebuilds: the scratch
-  //    reference flood diffs both category views in full, and the flush
-  //    owes each (now uninitialized) neighbor a reset snapshot of its new
-  //    category view.
-  if (config_.export_link_filter) {
-    flood();  // legacy per-neighbor views are recomputed in full anyway
-    return;
-  }
+  //    Re-baseline: rebuild both category views, and owe every neighbor a
+  //    reset snapshot of its new category view.  No pending delta can
+  //    reach anyone before those snapshots, so dropping them is exact.
+  publish_snapshot();
+  touched_links_.clear();
+  changed_dests_.clear();
+  exported_full_ = make_export_view(local_, nullptr);
+  exported_cone_ = make_export_view(local_, cone_filter());
+  pending_full_.clear();
+  pending_cone_.clear();
   for (const topo::Neighbor& nb : graph_.neighbors(self())) {
     initialized_nbrs_.erase(nb.node);
   }
-  const bool incremental = config_.incremental;
-  config_.incremental = false;
-  flood();
-  config_.incremental = incremental;
+  dispatch_updates();
 }
 
 void CentaurNode::for_each_selected_route(
@@ -836,6 +733,37 @@ const CentaurNode::FailChains* CentaurNode::neighbor_fail_chains(
     NodeId neighbor) const {
   const NeighborState* state = rib_.find(neighbor);
   return state == nullptr ? nullptr : &state->fail_chains;
+}
+
+bool CentaurNode::category_views_current() const {
+  return exported_full_ == make_export_view(local_, nullptr) &&
+         exported_cone_ == make_export_view(local_, cone_filter());
+}
+
+ExportedView CentaurNode::reference_view(NodeId neighbor) const {
+  DestFilter dest_allowed;
+  if (serves_cone(graph_.rel(self(), neighbor))) dest_allowed = cone_filter();
+  LinkFilter link_allowed;
+  if (config_.export_link_filter) {
+    link_allowed = [this, neighbor](NodeId a, NodeId b) {
+      return config_.export_link_filter(neighbor, a, b);
+    };
+  }
+  return make_export_view(local_, dest_allowed, link_allowed);
+}
+
+std::vector<NodeId> CentaurNode::stale_selections() const {
+  std::vector<NodeId> stale;
+  for (const NodeId dest : known_dests()) {
+    if (dest == self() || intercepting(dest)) continue;
+    Candidate best{};
+    const std::optional<Path> fresh = best_candidate_scratch(dest, best);
+    const Path* cur = selected_.find(dest);
+    if (fresh ? cur == nullptr || *cur != *fresh : cur != nullptr) {
+      stale.push_back(dest);
+    }
+  }
+  return stale;
 }
 
 CentaurNode::TableFootprint& CentaurNode::TableFootprint::operator+=(

@@ -47,47 +47,20 @@ namespace centaur::core {
 /// (Steps 1/4, a delta against the empty view with reset set).
 ///
 /// Immutable once constructed, so one instance is shared (by shared_ptr)
-/// across every neighbor of an export class; the exact encoded length is
-/// computed once here instead of per byte_size() query per receiver.
+/// across every neighbor of an export class; the exact encoded length
+/// (explicit Permission-List encoding) is computed once here instead of per
+/// byte_size() query per receiver.
 class CentaurUpdate : public sim::Message {
  public:
-  CentaurUpdate(GraphDelta delta, bool bloom_compressed)
-      : delta_(std::move(delta)),
-        bloom_(bloom_compressed),
-        byte_size_(delta_.byte_size(bloom_compressed)) {}
+  explicit CentaurUpdate(GraphDelta delta)
+      : delta_(std::move(delta)), byte_size_(delta_.byte_size(false)) {}
 
   const GraphDelta& delta() const { return delta_; }
-  bool bloom_compressed() const { return bloom_; }
   std::size_t byte_size() const override { return byte_size_; }
   std::string describe() const override;
 
  private:
   GraphDelta delta_;
-  bool bloom_;
-  std::size_t byte_size_;
-};
-
-/// Wire message: several same-neighbor updates coalesced into one batch
-/// datagram (Config::batch_datagrams; wire batch framing, kBatchVersion).
-/// Receivers apply the member deltas in order, exactly as if each had
-/// arrived in its own datagram — only the datagram count (and the few
-/// framing bytes) changes.  Member payloads stay shared with the
-/// per-neighbor CentaurUpdate instances, so batching adds no delta copies.
-class CentaurBatchUpdate : public sim::Message {
- public:
-  CentaurBatchUpdate(std::vector<std::shared_ptr<const CentaurUpdate>> updates,
-                     bool bloom_compressed);
-
-  const std::vector<std::shared_ptr<const CentaurUpdate>>& updates() const {
-    return updates_;
-  }
-  bool bloom_compressed() const { return bloom_; }
-  std::size_t byte_size() const override { return byte_size_; }
-  std::string describe() const override;
-
- private:
-  std::vector<std::shared_ptr<const CentaurUpdate>> updates_;
-  bool bloom_;
   std::size_t byte_size_;
 };
 
@@ -102,37 +75,10 @@ class CentaurNode : public sim::Node, public policy::RouteView {
     /// generators' core tiers, so limited destinations stay well-connected
     /// — and per-node destination caches stay small.
     topo::NodeId originate_limit = 0;
-    /// Account Permission-List bytes as Bloom-compressed (S4.1).
-    bool bloom_plists = false;
-    /// Merge every delta emitted within one simulated instant into a single
-    /// net update per neighbor before sending (flushed through a zero-delay
-    /// event, so arrival times are unchanged).  Off: send inline per flood,
-    /// the seed behavior.
-    bool coalesce_updates = true;
-    /// Coalesce every datagram bound for the same neighbor within one
-    /// simulated instant into a single CentaurBatchUpdate (flushed through
-    /// a zero-delay event, so arrival times are unchanged; a lone update
-    /// still goes out as a plain CentaurUpdate with identical bytes).
-    /// Mostly pays with coalesce_updates off, where each flood otherwise
-    /// emits its own datagram per neighbor.  Off: the baseline framing.
-    bool batch_datagrams = false;
-    /// Use the incremental recompute plane (DESIGN.md §12): reselect()
-    /// rank-merges the per-(neighbor, destination) candidate cache
-    /// maintained by refresh_derived() and materializes only the winning
-    /// path; deltas invalidate only the walks a changed link head can
-    /// redirect (walk-chain index + DeltaReport); floods update the two
-    /// category export views from the touched-link / changed-destination
-    /// scratch.  Off: the from-scratch reference —
-    /// re-derive every destination per delta, re-classify every candidate
-    /// per reselect, and rebuild + diff full export views per flood.  Both
-    /// produce bit-identical selections, floods, and counters (the
-    /// equivalence suite proves it); nodes with a ranking override always
-    /// take the reference reselect (overrides rank full paths, which the
-    /// cache does not store).
-    bool incremental = true;
     /// Extra export-side link filter: may link from->to be announced to
     /// `neighbor`?  Applied on top of the Gao-Rexford destination-based
-    /// export rule.  Null means allow.
+    /// export rule: the neighbor gets its category's shared update minus the
+    /// links the filter hides from it.  Null means allow.
     std::function<bool(topo::NodeId neighbor, NodeId from, NodeId to)>
         export_link_filter;
     /// Import-side link filter (Imp in S4.3); null means allow.
@@ -143,11 +89,11 @@ class CentaurNode : public sim::Node, public policy::RouteView {
     /// Gao-Rexford ranking when null or when it reports no preference both
     /// ways.
     policy::RankingOverride ranking;
-    /// Serving-plane snapshot export hook (DESIGN.md §14.2): invoked at the
-    /// top of every flood whose selection commit changed the local P-graph,
-    /// with the flood-scratch dirty sets (possibly duplicated entries)
-    /// before they are consumed — a publisher copies only the dirty
-    /// adjacency.  Null means off; see core::SnapshotSink for the
+    /// Serving-plane snapshot export hook (DESIGN.md §14.2): invoked before
+    /// every flood or re-baseline whose selection commit changed the local
+    /// P-graph, with the flood-scratch dirty sets (possibly duplicated
+    /// entries) before they are consumed — a publisher copies only the
+    /// dirty adjacency.  Null means off; see core::SnapshotSink for the
     /// handler-context rules the callee must follow.
     SnapshotSink snapshot_sink;
   };
@@ -251,6 +197,23 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// The chains of `neighbor`'s failed walks, or nullptr if there is no RIB
   /// state for it.
   const FailChains* neighbor_fail_chains(topo::NodeId neighbor) const;
+  /// The node's configuration (its filters; the ranking override as last
+  /// installed).
+  const Config& config() const { return config_; }
+
+  // --- from-scratch references (invariant checker, src/check) -------------
+  /// Do both stored category views equal make_export_view of the local
+  /// P-graph (unfiltered for the full view, cone-class destinations for the
+  /// cone view)?
+  bool category_views_current() const;
+  /// What `neighbor` should hold from this node, rebuilt from the local
+  /// P-graph: its category view (cone for peers and providers unless the
+  /// node leaks) minus the links export_link_filter hides from it.
+  ExportedView reference_view(topo::NodeId neighbor) const;
+  /// Destinations whose selection differs from a from-scratch ranking of
+  /// every usable neighbor's derived path (best_candidate_scratch), the
+  /// origin and intercepted victims excepted; ascending.
+  std::vector<NodeId> stale_selections() const;
 
   /// Size of one family of per-node tables (DESIGN.md §5.5).  `slot_bytes`
   /// is slots x slot size: spilled small-vector heap and allocator headers
@@ -319,8 +282,16 @@ class CentaurNode : public sim::Node, public policy::RouteView {
     util::NodeMap<util::SmallVec<NodeId, 4>> chain_index;
   };
 
-  ExportedView view_for(topo::NodeId neighbor) const;
   bool neighbor_usable(topo::NodeId neighbor) const;
+  /// Is `rel` served the cone view?  Peers and providers are, unless the
+  /// node leaks (set_route_leak).
+  bool serves_cone(topo::Relationship rel) const {
+    return !leak_all_ && (rel == topo::Relationship::kPeer ||
+                          rel == topo::Relationship::kProvider);
+  }
+  /// The cone view's destination filter: destinations whose selected route
+  /// is cone-class (self, customer or sibling), read from the class cache.
+  DestFilter cone_filter() const;
   /// True when this node announces its own prefix (originate_prefix gated
   /// by the optional low-id originate_limit).
   bool originates() const {
@@ -341,35 +312,33 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   /// winning path is materialized lazily at the end (incremental plane).
   std::optional<Path> best_candidate_cached(NodeId dest,
                                             policy::Candidate& best) const;
-  /// Reference implementation: re-classify every usable neighbor's derived
-  /// path from scratch (also the only path that can consult a ranking
-  /// override, which ranks full paths).
+  /// Re-classifies every usable neighbor's derived path from scratch: the
+  /// selection path of nodes with a ranking override (overrides rank full
+  /// paths, which the cache does not store), and the reference of
+  /// stale_selections().
   std::optional<Path> best_candidate_scratch(NodeId dest,
                                              policy::Candidate& best) const;
+  /// Hands the flood scratch to the snapshot sink, if one is set and the
+  /// scratch is non-empty.  Leaves the scratch in place.
+  void publish_snapshot();
   /// Applies the flood scratch to the two category views, records the
   /// resulting changes in the pending per-category deltas, and dispatches.
   /// Always call after reselect() so the category views never go stale.
   void flood();
-  /// Sends pending updates: inline when coalescing is off, else through one
-  /// zero-delay flush event per node per instant (same-burst deltas merge).
+  /// Schedules one zero-delay flush event per node per instant, so every
+  /// delta emitted within the instant merges into one update per neighbor.
   void dispatch_updates();
   /// Materializes at most two shared payloads (full/cone) from the pending
   /// deltas and fans them out; uninitialized usable neighbors get a shared
-  /// baseline snapshot of their category view instead.
+  /// baseline snapshot of their category view instead.  A neighbor with
+  /// hidden links gets its payload through hide_links().
   void flush_pending();
-  /// Applies one update's delta from `from`: assemble into the RIB,
-  /// invalidate dirty destinations, re-derive, re-select, flood.  The body
-  /// of message handling; on_message calls it once per plain update and
-  /// once per member of a batch.
-  void process_delta(topo::NodeId from, const CentaurUpdate& update);
-  /// All outbound updates funnel through here: sends immediately, or (with
-  /// batch_datagrams) queues into the per-neighbor outbox and schedules the
-  /// end-of-instant batch flush.
-  void send_update(topo::NodeId neighbor,
-                   std::shared_ptr<const CentaurUpdate> msg);
-  /// Emits each neighbor's queued updates as one datagram (a batch when
-  /// there is more than one).
-  void flush_outbox();
+  /// `update` minus the links export_link_filter hides from `neighbor`:
+  /// `update` itself when it carries no hidden link, null when nothing but
+  /// hidden links is left of a non-reset update.
+  std::shared_ptr<const CentaurUpdate> hide_links(
+      topo::NodeId neighbor,
+      const std::shared_ptr<const CentaurUpdate>& update) const;
   /// Records a changed selection for dest (old path out, new path in) in
   /// the flood scratch and cone-entry map.
   void note_path_removed(NodeId dest, const Path& path, bool cone_class);
@@ -417,15 +386,6 @@ class CentaurNode : public sim::Node, public policy::RouteView {
   PendingDelta pending_full_;
   PendingDelta pending_cone_;
   bool flush_scheduled_ = false;
-  // Datagram batching (batch_datagrams): updates queued this instant, per
-  // neighbor in first-send order (deterministic; neighbor counts are small
-  // enough that the linear scan beats a map).
-  std::vector<std::pair<topo::NodeId,
-                        std::vector<std::shared_ptr<const CentaurUpdate>>>>
-      outbox_;
-  bool outbox_flush_scheduled_ = false;
-  // Legacy per-neighbor views, used only with a custom export_link_filter.
-  util::VecMap<topo::NodeId, ExportedView> exported_custom_;
   // Adversarial state (driver-toggled; see the fault hooks above).
   bool leak_all_ = false;
   util::FlatMap<NodeId, std::uint8_t> intercepted_;  // victim set

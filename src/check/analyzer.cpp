@@ -52,16 +52,20 @@ std::size_t Analyzer::check_node(topo::NodeId id) {
   if (node != nullptr) {  // structural analysis covers Centaur nodes only
     ++report_.checks_run;
     std::vector<Violation> violations = check_centaur_node(*node);
-    report_.violations_seen += violations.size();
-    for (Violation& v : violations) {
-      if (report_.entries.size() >= options_.max_entries) break;
-      report_.entries.push_back(
-          AnalysisEntry{net_.simulator().now(), id, std::move(v)});
-    }
     found = violations.size();
+    record(id, std::move(violations));
   }
   if (audit_.enabled) audit_routes(id);
   return found;
+}
+
+void Analyzer::record(topo::NodeId id, std::vector<Violation> violations) {
+  report_.violations_seen += violations.size();
+  for (Violation& v : violations) {
+    if (report_.entries.size() >= options_.max_entries) break;
+    report_.entries.push_back(
+        AnalysisEntry{net_.simulator().now(), id, std::move(v)});
+  }
 }
 
 void Analyzer::set_route_audit(RouteAuditConfig config) {
@@ -132,6 +136,23 @@ std::size_t Analyzer::check_all() {
   std::size_t found = 0;
   for (topo::NodeId id = 0; id < net_.graph().num_nodes(); ++id) {
     found += check_node(id);
+  }
+  // The session sweep is part of the quiescence check and adds no node
+  // check: checks_run and the audit's events_observed count node checks.
+  const auto centaur = [this](topo::NodeId id) {
+    return dynamic_cast<const core::CentaurNode*>(&net_.node(id));
+  };
+  for (topo::NodeId u = 0; u < net_.graph().num_nodes(); ++u) {
+    const core::CentaurNode* receiver = centaur(u);
+    if (receiver == nullptr) continue;
+    for (const topo::NodeId v : receiver->rib_neighbors()) {
+      const core::CentaurNode* sender = centaur(v);
+      if (sender == nullptr) continue;
+      std::vector<Violation> violations =
+          check_received_view(*receiver, u, *sender, v);
+      found += violations.size();
+      record(u, std::move(violations));
+    }
   }
   return found;
 }

@@ -3,9 +3,9 @@
 // An Analyzer attaches to a sim::Network and re-validates protocol
 // invariants while a simulation runs: after every delivered message or
 // link-change notification it checks the touched node (opt-out), and
-// check_all() sweeps every node — callers invoke it at quiescence points
-// (post-convergence).  Non-Centaur nodes are skipped, so the analyzer is
-// harmless on BGP/OSPF runs.
+// check_all() sweeps every node and every session — callers invoke it at
+// quiescence points (post-convergence).  Non-Centaur nodes are skipped, so
+// the analyzer is harmless on BGP/OSPF runs.
 //
 // Violations are recorded with their event context (simulated time, node)
 // into an AnalysisReport.  Debug builds (CENTAUR_CHECK) run the tier-1
@@ -90,8 +90,9 @@ class Analyzer {
   /// quiescence (see check_centaur_node).
   std::size_t check_node(topo::NodeId id);
 
-  /// Checks every node; callers invoke it at convergence points.  Returns
-  /// violations found.
+  /// Checks every node, then every session's received graph against its
+  /// sender's view (check_received_view).  Callers invoke it at quiescence
+  /// only.  Returns violations found.
   std::size_t check_all();
 
   const AnalysisReport& report() const { return report_; }
@@ -112,6 +113,8 @@ class Analyzer {
   /// Audits `node`'s selected routes against the AS graph; records flags
   /// into audit_report_ (never into the structural report).
   void audit_routes(topo::NodeId id);
+  /// Adds `violations`, found at node `id`, to the report.
+  void record(topo::NodeId id, std::vector<Violation> violations);
 
   sim::Network& net_;
   AnalysisOptions options_;

@@ -1,6 +1,7 @@
 #include "check/invariants.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <span>
 #include <utility>
@@ -44,6 +45,10 @@ const char* to_string(Invariant inv) {
       return "derived-cache";
     case Invariant::kSelection:
       return "selection-consistent";
+    case Invariant::kExportView:
+      return "export-view";
+    case Invariant::kReceivedView:
+      return "received-view";
     case Invariant::kLeakedRoute:
       return "leaked-route";
     case Invariant::kInterceptedRoute:
@@ -412,6 +417,25 @@ std::vector<Violation> check_centaur_node(const core::CentaurNode& node) {
     }
   }
 
+  // Selection optimality: the cached rank-merge must pick what ranking
+  // every usable neighbor's derived path from scratch picks (the ranking
+  // override included).
+  for (const NodeId dest : node.stale_selections()) {
+    const std::optional<Path> cur = node.selected_path(dest);
+    report(out, Invariant::kSelection,
+           "selection for " + std::to_string(dest) + " (" +
+               (cur ? path_str(*cur) : std::string("none")) +
+               ") differs from a from-scratch ranking of the candidates");
+  }
+
+  // The export views, maintained from the flood scratch, must equal what
+  // make_export_view builds from the local P-graph.
+  if (!node.category_views_current()) {
+    report(out, Invariant::kExportView,
+           "a stored category view diverges from make_export_view of the "
+           "local P-graph");
+  }
+
   // BuildGraph-rebuild equivalence: the incrementally maintained local
   // P-graph must match a from-scratch BuildGraph over the same path set
   // (structure, destination marks, Permission Lists).
@@ -510,6 +534,37 @@ std::vector<Violation> check_centaur_node(const core::CentaurNode& node) {
                    " revisits a node");
       }
     }
+  }
+  return out;
+}
+
+std::vector<Violation> check_received_view(const core::CentaurNode& receiver,
+                                           NodeId u,
+                                           const core::CentaurNode& sender,
+                                           NodeId v) {
+  std::vector<Violation> out;
+  const PGraph* held = receiver.neighbor_pgraph(v);
+  if (held == nullptr) return out;
+  core::GraphDelta snapshot =
+      core::diff_views(core::ExportedView{}, sender.reference_view(u));
+  snapshot.reset = true;
+  core::LinkFilter import_allowed;
+  if (const auto& filter = receiver.config().import_link_filter) {
+    import_allowed = [&filter, v](NodeId a, NodeId b) {
+      return filter(v, a, b);
+    };
+  }
+  PGraph expected(v);
+  core::apply_delta(expected, snapshot, u, import_allowed);
+  if (!(expected == *held)) {
+    report(out, Invariant::kReceivedView,
+           "G[" + std::to_string(v) + "] holds " +
+               std::to_string(held->num_links()) + " links and " +
+               std::to_string(held->destinations().size()) +
+               " destinations; " + std::to_string(v) +
+               "'s view imports to " + std::to_string(expected.num_links()) +
+               " links and " + std::to_string(expected.destinations().size()) +
+               " destinations");
   }
   return out;
 }

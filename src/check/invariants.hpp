@@ -44,7 +44,9 @@ enum class Invariant {
   kLocalRebuild,     ///< local P-graph == BuildGraph(selected path set)
   kNeighborRoot,     ///< RIB P-graph for neighbor B must be rooted at B
   kDerivedCache,     ///< cached derived paths == fresh DerivePath results
-  kSelection,        ///< selected paths extend the first hop's derived path
+  kSelection,        ///< selections extend derived paths, rank best
+  kExportView,       ///< category views == make_export_view(local P-graph)
+  kReceivedView,     ///< RIB graph == sender's view, imported (quiescence)
   // Route-audit classes (DESIGN.md §15): breaches of the *policy* contract
   // against the ground-truth AS graph, reported by the analyzer's route
   // audit rather than the structural node checks above.
@@ -139,10 +141,22 @@ std::vector<Violation> check_counters_against(const PGraph& g,
 /// Full node-level check, valid at every event boundary: the local P-graph
 /// (structure, counters, marks, loop-free paths) against the selected path
 /// set, a BuildGraph-rebuild equivalence check, selection consistency
-/// (every selected path extends its first-hop neighbor's derived path), and
-/// for every RIB neighbor B: the graph is rooted at B, passes the relaxed
+/// (every selected path extends its first-hop neighbor's derived path, and
+/// every selection is what a from-scratch ranking of the candidates picks),
+/// both stored category export views against make_export_view, and for
+/// every RIB neighbor B: the graph is rooted at B, passes the relaxed
 /// structural checks, and its derived-path cache matches fresh DerivePath
 /// results for every marked destination.
 std::vector<Violation> check_centaur_node(const core::CentaurNode& node);
+
+/// Session check, valid only at quiescence (every sent update delivered):
+/// the graph `receiver` (node u) holds from its neighbor `sender` (node v)
+/// equals v's view for u rebuilt from v's local P-graph
+/// (CentaurNode::reference_view), imported by u — links into u dropped,
+/// u's import filter applied.  Empty when u holds no graph from v.
+std::vector<Violation> check_received_view(const core::CentaurNode& receiver,
+                                           NodeId u,
+                                           const core::CentaurNode& sender,
+                                           NodeId v);
 
 }  // namespace centaur::check

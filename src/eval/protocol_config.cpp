@@ -52,11 +52,6 @@ std::unique_ptr<sim::Node> make_protocol_node(Protocol p,
     }
     case Protocol::kCentaur: {
       core::CentaurNode::Config cfg;
-      cfg.coalesce_updates = util::env_flag_strict("CENTAUR_COALESCE", true);
-      cfg.batch_datagrams =
-          util::env_flag_strict("CENTAUR_BATCH_DATAGRAMS", false);
-      cfg.bloom_plists = util::env_flag_strict("CENTAUR_BLOOM_PLISTS", false);
-      cfg.incremental = util::env_flag_strict("CENTAUR_INCREMENTAL", true);
       cfg.originate_limit = options.origin_limit;
       cfg.snapshot_sink = options.centaur_snapshot_sink;
       return std::make_unique<core::CentaurNode>(graph, cfg);

@@ -1,13 +1,13 @@
 // Strict environment-variable parsing, shared by every CENTAUR_* knob.
 //
 // The seed parsed env values ad hoc (std::stoul for CENTAUR_THREADS, "any
-// unknown string is truthy" for CENTAUR_COALESCE, silent fallback for
-// CENTAUR_SCALE), so a typo like CENTAUR_THREADS=4x or CENTAUR_COALESCE=onn
+// unknown string is truthy" for boolean knobs, silent fallback for
+// CENTAUR_SCALE), so a typo like CENTAUR_THREADS=4x or CENTAUR_SCALE=smok
 // silently changed behavior.  These helpers reject garbage instead: a value
 // that does not parse (or an enum spelling that is not recognised) falls
 // back to the caller's default and warns once per variable per process, so
 // a misconfigured CI job is visible in its log instead of silently serial
-// or silently coalescing.
+// or silently at the wrong scale.
 #pragma once
 
 #include <cstdint>

@@ -132,12 +132,13 @@ void put_plist(Sink& sink, const PermissionList& plist,
   });
 }
 
-// Counts + sections — everything after the two header bytes.  Shared by the
-// single-delta framing (version 1) and the batch framing, which writes one
-// body per member delta.
 template <typename Sink>
-void put_delta_body(Sink& sink, const GraphDelta& delta,
-                    PlistEncoding encoding) {
+void put_delta(Sink& sink, const GraphDelta& delta, PlistEncoding encoding) {
+  sink.byte(kWireVersion);
+  std::uint8_t flags = 0;
+  if (delta.reset) flags |= kFlagReset;
+  if (encoding == PlistEncoding::kBloom) flags |= kFlagBloom;
+  sink.byte(flags);
   sink.varint(delta.upserts.size());
   sink.varint(delta.removes.size());
   sink.varint(delta.dest_adds.size());
@@ -231,29 +232,6 @@ void put_delta_body(Sink& sink, const GraphDelta& delta,
   }
 }
 
-template <typename Sink>
-void put_delta(Sink& sink, const GraphDelta& delta, PlistEncoding encoding) {
-  sink.byte(kWireVersion);
-  std::uint8_t flags = 0;
-  if (delta.reset) flags |= kFlagReset;
-  if (encoding == PlistEncoding::kBloom) flags |= kFlagBloom;
-  sink.byte(flags);
-  put_delta_body(sink, delta, encoding);
-}
-
-template <typename Sink>
-void put_batch(Sink& sink, const std::vector<const GraphDelta*>& deltas,
-               PlistEncoding encoding) {
-  sink.byte(kBatchVersion);
-  // The Bloom flag is per batch: one sender flushes one encoding policy.
-  sink.byte(encoding == PlistEncoding::kBloom ? kFlagBloom : std::uint8_t{0});
-  sink.varint(deltas.size());
-  for (const GraphDelta* delta : deltas) {
-    sink.byte(delta->reset ? kFlagReset : std::uint8_t{0});
-    put_delta_body(sink, *delta, encoding);
-  }
-}
-
 NodeId checked_node(std::uint64_t v, const char* what) {
   if (v > 0xFFFFFFFFULL) throw DecodeError(std::string(what) + ": node id overflow");
   return static_cast<NodeId>(v);
@@ -276,11 +254,21 @@ std::size_t encoded_size(const GraphDelta& delta, PlistEncoding encoding) {
   return sink.bytes;
 }
 
-namespace {
+Decoded decode(const std::uint8_t* data, std::size_t size) {
+  Cursor cur(data, size);
+  const std::uint8_t version = cur.u8("header");
+  if (version != kWireVersion) {
+    throw DecodeError("header: unknown version " + std::to_string(version));
+  }
+  const std::uint8_t flags = cur.u8("header");
+  if ((flags & ~(kFlagReset | kFlagBloom)) != 0) {
+    throw DecodeError("header: unknown flag bits");
+  }
 
-// Parses counts + sections into `out` (whose `delta.reset` and `encoding`
-// the caller has already set from its framing's header bytes).
-void get_delta_body(Cursor& cur, Decoded& out) {
+  Decoded out;
+  out.delta.reset = (flags & kFlagReset) != 0;
+  out.encoding = (flags & kFlagBloom) != 0 ? PlistEncoding::kBloom
+                                           : PlistEncoding::kExplicit;
   const std::uint64_t n_upserts = cur.varint();
   const std::uint64_t n_removes = cur.varint();
   const std::uint64_t n_dest_adds = cur.varint();
@@ -358,85 +346,7 @@ void get_delta_body(Cursor& cur, Decoded& out) {
       dests->push_back(d);
     }
   }
-}
-
-}  // namespace
-
-Decoded decode(const std::uint8_t* data, std::size_t size) {
-  Cursor cur(data, size);
-  const std::uint8_t version = cur.u8("header");
-  if (version != kWireVersion) {
-    throw DecodeError("header: unknown version " + std::to_string(version));
-  }
-  const std::uint8_t flags = cur.u8("header");
-  if ((flags & ~(kFlagReset | kFlagBloom)) != 0) {
-    throw DecodeError("header: unknown flag bits");
-  }
-
-  Decoded out;
-  out.delta.reset = (flags & kFlagReset) != 0;
-  out.encoding = (flags & kFlagBloom) != 0 ? PlistEncoding::kBloom
-                                           : PlistEncoding::kExplicit;
-  get_delta_body(cur, out);
   out.bytes_consumed = cur.consumed();
-  return out;
-}
-
-std::vector<std::uint8_t> encode_batch(
-    const std::vector<const GraphDelta*>& deltas, PlistEncoding encoding) {
-  std::vector<std::uint8_t> out;
-  out.reserve(encoded_batch_size(deltas, encoding));
-  BufferSink sink{out};
-  put_batch(sink, deltas, encoding);
-  return out;
-}
-
-std::size_t encoded_batch_size(const std::vector<const GraphDelta*>& deltas,
-                               PlistEncoding encoding) {
-  CountSink sink;
-  put_batch(sink, deltas, encoding);
-  return sink.bytes;
-}
-
-std::vector<Decoded> decode_batch(const std::uint8_t* data, std::size_t size) {
-  Cursor cur(data, size);
-  const std::uint8_t version = cur.u8("batch header");
-  if (version != kBatchVersion) {
-    throw DecodeError("batch header: unknown version " +
-                      std::to_string(version));
-  }
-  const std::uint8_t flags = cur.u8("batch header");
-  if ((flags & ~kFlagBloom) != 0) {
-    throw DecodeError("batch header: unknown flag bits");
-  }
-  const PlistEncoding encoding = (flags & kFlagBloom) != 0
-                                     ? PlistEncoding::kBloom
-                                     : PlistEncoding::kExplicit;
-  const std::uint64_t n_deltas = cur.varint();
-  // Every member delta costs at least five bytes (flags + four counts);
-  // reject counts the buffer cannot possibly hold before reserving.
-  if (n_deltas > cur.remaining() / 5) {
-    throw DecodeError("batch header: delta count exceeds input size");
-  }
-
-  std::vector<Decoded> out;
-  out.reserve(n_deltas);
-  for (std::uint64_t i = 0; i < n_deltas; ++i) {
-    const std::size_t before = cur.consumed();
-    Decoded d;
-    const std::uint8_t delta_flags = cur.u8("batch delta flags");
-    if ((delta_flags & ~kFlagReset) != 0) {
-      throw DecodeError("batch delta flags: unknown flag bits");
-    }
-    d.delta.reset = (delta_flags & kFlagReset) != 0;
-    d.encoding = encoding;
-    get_delta_body(cur, d);
-    d.bytes_consumed = cur.consumed() - before;
-    out.push_back(std::move(d));
-  }
-  if (cur.remaining() != 0) {
-    throw DecodeError("batch: trailing bytes after last delta");
-  }
   return out;
 }
 

@@ -55,11 +55,6 @@ inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::uint8_t kFlagReset = 0x01;
 inline constexpr std::uint8_t kFlagBloom = 0x02;
 
-/// First byte of a batch datagram (see encode_batch).  Distinct from
-/// kWireVersion so the two framings can never be confused: decode() rejects
-/// a batch buffer and decode_batch() rejects a single-delta buffer.
-inline constexpr std::uint8_t kBatchVersion = 2;
-
 enum class PlistEncoding : std::uint8_t { kExplicit = 0, kBloom = 1 };
 
 /// Bytes needed by the LEB128 encoding of `v` (1..10).
@@ -136,38 +131,6 @@ Decoded decode(const std::uint8_t* data, std::size_t size);
 
 inline Decoded decode(const std::vector<std::uint8_t>& buf) {
   return decode(buf.data(), buf.size());
-}
-
-// Batch framing (§4.3 datagram coalescing): several deltas bound for the
-// same neighbor share one datagram instead of one datagram each.
-//
-//   u8       version            (kBatchVersion)
-//   u8       flags              bit1 = Bloom Permission Lists (whole batch)
-//   varint   n_deltas
-//   per delta:
-//     u8     flags              bit0 = reset (per delta)
-//     delta body                counts + sections, exactly as in version 1
-//
-// The per-datagram byte overhead is deliberately tiny (a batch of k deltas
-// costs k-2 bytes less header than k separate datagrams plus the n_deltas
-// varint); the point of batching is fewer datagrams, not fewer bytes —
-// BM_EncodeBatch in bench_micro_centaur reports the exact byte delta.
-
-/// Serializes `deltas` (all with `encoding`) into one batch datagram.
-std::vector<std::uint8_t> encode_batch(
-    const std::vector<const core::GraphDelta*>& deltas, PlistEncoding encoding);
-
-/// Exact length encode_batch() would produce.
-std::size_t encoded_batch_size(
-    const std::vector<const core::GraphDelta*>& deltas, PlistEncoding encoding);
-
-/// Parses a batch datagram; element i's `bytes_consumed` counts only delta
-/// i's bytes (its flags byte plus body).  Throws DecodeError on a
-/// non-batch version byte, malformed contents, or trailing bytes.
-std::vector<Decoded> decode_batch(const std::uint8_t* data, std::size_t size);
-
-inline std::vector<Decoded> decode_batch(const std::vector<std::uint8_t>& buf) {
-  return decode_batch(buf.data(), buf.size());
 }
 
 }  // namespace centaur::wire

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <vector>
 
 #include "centaur/centaur_node.hpp"
+#include "check/analyzer.hpp"
+#include "check/invariants.hpp"
 #include "test_helpers.hpp"
 #include "topology/generator.hpp"
 
@@ -94,6 +100,171 @@ TEST(CentaurNode, ExportFilterHidesLinkWithoutLoops) {
   const PGraph* from_c = net.node(A).neighbor_pgraph(C);
   ASSERT_NE(from_c, nullptr);
   EXPECT_FALSE(from_c->has_link(C, D));
+}
+
+/// Square-topology nodes where C hides its link C->D from A.
+std::unique_ptr<CentaurNode> c_hides_cd_from_a(NodeId v, AsGraph& g) {
+  CentaurNode::Config cfg;
+  if (v == C) {
+    cfg.export_link_filter = [](NodeId neighbor, NodeId from, NodeId to) {
+      return !(neighbor == A && from == C && to == D);
+    };
+  }
+  return std::make_unique<CentaurNode>(g, cfg);
+}
+
+TEST(CentaurNode, RouteLeakWithoutConeSessionsKeepsHiddenViews) {
+  // None of C's neighbors is a peer or a provider, so a route leak at C
+  // changes no session's view: nothing is sent, and A keeps both its routes
+  // and its filtered graph from C.
+  TestNet<CentaurNode> net(centaur::testing::square_topology(),
+                           c_hides_cd_from_a);
+  std::map<std::pair<NodeId, NodeId>, std::optional<Path>> before;
+  for (NodeId v = 0; v < 4; ++v) {
+    for (NodeId d = 0; d < 4; ++d) {
+      before[{v, d}] = net.node(v).selected_path(d);
+    }
+  }
+  const PGraph from_c = *net.node(A).neighbor_pgraph(C);
+  ASSERT_FALSE(from_c.has_link(C, D));
+
+  net.net().mark();
+  net.node(C).set_route_leak(true);
+  net.net().run_to_convergence();
+  EXPECT_EQ(net.net().window().messages_sent, 0u);
+  for (NodeId v = 0; v < 4; ++v) {
+    for (NodeId d = 0; d < 4; ++d) {
+      EXPECT_EQ(net.node(v).selected_path(d), (before[{v, d}]))
+          << v << " -> " << d;
+    }
+  }
+  ASSERT_NE(net.node(A).neighbor_pgraph(C), nullptr);
+  EXPECT_TRUE(*net.node(A).neighbor_pgraph(C) == from_c);
+}
+
+TEST(CentaurNode, RouteLeakRebaselinesPeerToFullViewMinusHiddenLink) {
+  // A and C peer; D is a customer of B and C, and B a customer of A.  C
+  // hides C->D from A.  Unleaked, A sees C's cone (C and its customer D);
+  // the leak re-baselines A to C's full view, which adds the peer-learned
+  // routes to A and B, still without the hidden link.
+  AsGraph g(4);
+  g.add_link(A, C, Relationship::kPeer);
+  g.add_link(B, A, Relationship::kProvider);
+  g.add_link(D, B, Relationship::kProvider);
+  g.add_link(D, C, Relationship::kProvider);
+  TestNet<CentaurNode> net(g, c_hides_cd_from_a);
+  const auto received_view_ok = [&net] {
+    return check::check_received_view(net.node(A), A, net.node(C), C).empty();
+  };
+  const PGraph* from_c = net.node(A).neighbor_pgraph(C);
+  ASSERT_NE(from_c, nullptr);
+  EXPECT_TRUE(received_view_ok());
+  EXPECT_TRUE(from_c->is_destination(D));
+  EXPECT_FALSE(from_c->is_destination(B));
+  EXPECT_FALSE(from_c->has_link(C, D));
+
+  net.net().mark();
+  net.node(C).set_route_leak(true);
+  net.net().run_to_convergence();
+  EXPECT_EQ(net.net().window().messages_sent, 1u);  // A's reset snapshot
+  from_c = net.node(A).neighbor_pgraph(C);
+  ASSERT_NE(from_c, nullptr);
+  EXPECT_TRUE(received_view_ok());
+  EXPECT_TRUE(from_c->is_destination(B));
+  EXPECT_TRUE(from_c->has_link(A, B));
+  EXPECT_FALSE(from_c->has_link(C, D));
+
+  net.net().mark();
+  net.node(C).set_route_leak(false);
+  net.net().run_to_convergence();
+  from_c = net.node(A).neighbor_pgraph(C);
+  ASSERT_NE(from_c, nullptr);
+  EXPECT_TRUE(received_view_ok());
+  EXPECT_FALSE(from_c->is_destination(B));
+}
+
+TEST(CentaurNode, HiddenLinksStayExactUnderChurn) {
+  // A 40-node topology where four nodes each hide one of their links from
+  // one neighbor and one node filters imports, driven through link flips
+  // (hidden links and filtered sessions included) and a route-leak toggle
+  // at a hiding node.  The analyzer runs in every build type, so each
+  // quiescence sweep checks every filtered session (kReceivedView).
+  util::Rng topo_rng(0x41D);
+  topo::AsGraph g = topo::brite_like(40, 2, 4, topo_rng);
+  struct Hide {
+    NodeId node, from_neighbor, link_head;
+  };
+  std::vector<Hide> hides;
+  for (const NodeId v : {3u, 11u, 19u, 27u}) {
+    const auto& nbs = g.neighbors(v);
+    ASSERT_GE(nbs.size(), 2u) << v;
+    hides.push_back({v, nbs[0].node, nbs[1].node});
+  }
+  constexpr NodeId kImportFiltering = 5;
+  const NodeId refused_head = g.neighbors(kImportFiltering)[0].node;
+
+  util::Rng rng(3);
+  sim::Network net(g, rng);
+  check::Analyzer analyzer(net);
+  std::vector<CentaurNode*> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    CentaurNode::Config cfg;
+    for (const Hide& h : hides) {
+      if (h.node != v) continue;
+      cfg.export_link_filter = [h](NodeId neighbor, NodeId from, NodeId to) {
+        return !(neighbor == h.from_neighbor && from == h.node &&
+                 to == h.link_head);
+      };
+    }
+    if (v == kImportFiltering) {
+      // Refuses every announced link into its first neighbor.
+      cfg.import_link_filter = [refused_head](NodeId, NodeId, NodeId to) {
+        return to != refused_head;
+      };
+    }
+    auto node = std::make_unique<CentaurNode>(g, cfg);
+    nodes.push_back(node.get());
+    net.attach(v, std::move(node));
+  }
+  net.start_all_and_converge();
+  analyzer.check_all();
+  // The filters have something to hide: the hidden links carry routes.
+  for (const Hide& h : hides) {
+    EXPECT_TRUE(nodes[h.node]->local_pgraph().has_link(h.node, h.link_head))
+        << h.node;
+  }
+
+  std::vector<topo::LinkId> flips;
+  for (const Hide& h : {hides[0], hides[1]}) {
+    flips.push_back(*g.find_link(h.node, h.link_head));
+    flips.push_back(*g.find_link(h.node, h.from_neighbor));
+  }
+  flips.push_back(*g.find_link(kImportFiltering, refused_head));
+  for (topo::LinkId link = 0; link < 4; ++link) flips.push_back(link);
+  for (const topo::LinkId link : flips) {
+    for (const bool up : {false, true}) {
+      net.set_link_state(link, up);
+      net.run_to_convergence();
+      analyzer.check_all();
+    }
+  }
+  for (const bool leak : {true, false}) {
+    nodes[hides[2].node]->set_route_leak(leak);
+    net.run_to_convergence();
+    analyzer.check_all();
+  }
+
+  for (const Hide& h : hides) {
+    const PGraph* held = nodes[h.from_neighbor]->neighbor_pgraph(h.node);
+    ASSERT_NE(held, nullptr) << h.node;
+    EXPECT_FALSE(held->has_link(h.node, h.link_head)) << h.node;
+  }
+  EXPECT_GT(analyzer.report().checks_run, 0u);
+  EXPECT_TRUE(analyzer.report().clean()) << [&] {
+    std::ostringstream os;
+    analyzer.report().print(os);
+    return os.str();
+  }();
 }
 
 // --------------------------------- ranking override (Fig 4 scenario) ------

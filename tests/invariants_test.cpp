@@ -263,6 +263,33 @@ TEST(AnalyzerSim, InitAndFailureRunReportZeroViolations) {
   }();
 }
 
+// A received graph that no longer matches its sender's view — here after a
+// forged update adds a link the sender never announced — fails the
+// quiescence sweep's session check.
+TEST(AnalyzerSim, ForgedUpdateBreaksReceivedView) {
+  topo::AsGraph g = testing::square_topology();
+  util::Rng rng(5);
+  sim::Network net(g, rng);
+  Analyzer analyzer(net);
+  for (topo::NodeId v = 0; v < g.num_nodes(); ++v) {
+    net.attach(v, std::make_unique<core::CentaurNode>(g));
+  }
+  net.start_all_and_converge();
+  analyzer.check_all();
+  ASSERT_TRUE(analyzer.report().clean());
+
+  core::GraphDelta forged;  // "C -> B", claimed by C towards A
+  forged.upserts.emplace_back(core::DirectedLink{2, 1},
+                              core::PermissionList{});
+  net.send(2, 0, std::make_shared<core::CentaurUpdate>(std::move(forged)));
+  net.run_to_convergence();
+  analyzer.check_all();
+  const std::vector<AnalysisEntry>& entries = analyzer.report().entries;
+  EXPECT_TRUE(std::any_of(entries.begin(), entries.end(), [](const auto& e) {
+    return e.node == 0 && e.violation.invariant == Invariant::kReceivedView;
+  }));
+}
+
 // The event hook detaches with the analyzer: a second analyzer attached
 // after the first is destroyed keeps working.
 TEST(AnalyzerSim, DetachesOnDestruction) {

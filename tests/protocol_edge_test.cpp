@@ -1,12 +1,14 @@
 // Edge cases and robustness properties for the protocol implementations:
-// import filters, Bloom accounting, origination control, session churn
-// storms, simultaneous failures, and determinism.
+// import filters, origination control, session churn storms, simultaneous
+// failures, same-burst coalescing, and determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "bgp/bgp_node.hpp"
 #include "centaur/centaur_node.hpp"
+#include "check/analyzer.hpp"
 #include "eval/experiments.hpp"
 #include "policy/valley_free.hpp"
 #include "test_helpers.hpp"
@@ -56,24 +58,6 @@ TEST(CentaurEdge, OriginationCanBeDisabled) {
   EXPECT_TRUE(net.node(2).selected_path(0).has_value());
 }
 
-TEST(CentaurEdge, BloomAccountingChangesBytesNotBehaviour) {
-  const AsGraph g = centaur::testing::square_topology();
-  TestNet<CentaurNode> plain(g);
-  TestNet<CentaurNode> bloom(g, [](NodeId, AsGraph& gr) {
-    CentaurNode::Config cfg;
-    cfg.bloom_plists = true;
-    return std::make_unique<CentaurNode>(gr, cfg);
-  });
-  // Same message count, same routes; only the byte accounting differs.
-  EXPECT_EQ(plain.net().window().messages_sent,
-            bloom.net().window().messages_sent);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (NodeId d = 0; d < g.num_nodes(); ++d) {
-      EXPECT_EQ(plain.node(v).selected_path(d), bloom.node(v).selected_path(d));
-    }
-  }
-}
-
 TEST(CentaurEdge, NeighborPgraphAbsentForStrangers) {
   AsGraph g(3);
   g.add_link(0, 1, Relationship::kPeer);
@@ -88,7 +72,7 @@ TEST(CentaurEdge, UpdateDescribeIsInformative) {
   d.reset = true;
   d.upserts.emplace_back(core::DirectedLink{1, 2}, core::PermissionList{});
   d.dest_adds.push_back(7);
-  const core::CentaurUpdate msg(d, false);
+  const core::CentaurUpdate msg(d);
   const std::string s = msg.describe();
   EXPECT_NE(s.find("+1 links"), std::string::npos);
   EXPECT_NE(s.find("+1 dests"), std::string::npos);
@@ -101,8 +85,10 @@ TEST(CentaurEdge, UpdateDescribeIsInformative) {
 
 // ------------------------------------------------------- churn storms -----
 
-template <typename NodeT>
-void expect_matches_solver(TestNet<NodeT>& net, const AsGraph& graph) {
+/// Every node of `net` (anything with node(v).selected_path(dest)) selects
+/// the valley-free solver's path.
+template <typename Net>
+void expect_matches_solver(Net& net, const AsGraph& graph) {
   for (NodeId dest = 0; dest < graph.num_nodes(); ++dest) {
     const auto solver = policy::ValleyFreeRoutes::compute(graph, dest);
     for (NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -213,67 +199,50 @@ TEST(Determinism, IdenticalRunsProduceIdenticalTraffic) {
 // wave of a cascade arrives as one same-instant burst per node — the regime
 // where the outbound coalescing slot actually merges deltas.  (With the
 // default continuous random delays, same-instant multi-floods are measure
-// zero and coalescing is a near no-op.)
+// zero and coalescing is a near no-op.)  An analyzer rides along in every
+// build type, so each quiescence sweep also checks every received graph
+// against its sender's view.
 struct ConstDelayRun {
   topo::AsGraph graph;
   util::Rng rng;
   sim::Network net;
-  std::vector<core::CentaurNode*> nodes;
+  check::Analyzer analyzer;
+  std::vector<CentaurNode*> nodes;
 
-  ConstDelayRun(const AsGraph& g, bool coalesce)
-      : graph(g), rng(7), net(graph, rng, /*min_delay=*/0.001,
-                              /*max_delay=*/0.001) {
+  explicit ConstDelayRun(const AsGraph& g)
+      : graph(g),
+        rng(7),
+        net(graph, rng, /*min_delay=*/0.001, /*max_delay=*/0.001),
+        analyzer(net) {
     for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      CentaurNode::Config cfg;
-      cfg.coalesce_updates = coalesce;
-      auto node = std::make_unique<CentaurNode>(graph, cfg);
+      auto node = std::make_unique<CentaurNode>(graph);
       nodes.push_back(node.get());
       net.attach(v, std::move(node));
     }
-    net.mark();
     net.start_all_and_converge();
+    analyzer.check_all();
   }
+  CentaurNode& node(NodeId v) { return *nodes.at(v); }
 };
 
-void expect_identical_paths(ConstDelayRun& a, ConstDelayRun& b) {
-  for (NodeId v = 0; v < a.graph.num_nodes(); ++v) {
-    for (NodeId d = 0; d < a.graph.num_nodes(); ++d) {
-      EXPECT_EQ(a.nodes[v]->selected_path(d), b.nodes[v]->selected_path(d))
-          << v << "->" << d;
-    }
-  }
-}
-
-TEST(CentaurCoalescing, ConstantDelayColdStartMergesBursts) {
+TEST(CentaurCoalescing, ConstantDelayBurstsConvergeToSolver) {
   util::Rng topo_rng(11);
   const AsGraph g = topo::brite_like(24, 2, 3, topo_rng);
-  ConstDelayRun merged(g, /*coalesce=*/true);
-  ConstDelayRun unmerged(g, /*coalesce=*/false);
-  // Same routing outcome, strictly fewer messages and bytes on the wire.
-  expect_identical_paths(merged, unmerged);
-  EXPECT_LT(merged.net.window().messages_sent,
-            unmerged.net.window().messages_sent);
-  EXPECT_LT(merged.net.window().bytes_sent, unmerged.net.window().bytes_sent);
-}
-
-TEST(CentaurCoalescing, FailuresConvergeIdenticallyWithNoExtraMessages) {
-  util::Rng topo_rng(23);
-  const AsGraph g = topo::brite_like(20, 2, 3, topo_rng);
-  ConstDelayRun merged(g, /*coalesce=*/true);
-  ConstDelayRun unmerged(g, /*coalesce=*/false);
+  ConstDelayRun run(g);
+  expect_matches_solver(run, run.graph);
   for (const LinkId link : {LinkId{0}, LinkId{7}}) {
     for (const bool up : {false, true}) {
-      merged.net.mark();
-      merged.net.set_link_state(link, up);
-      merged.net.run_to_convergence();
-      unmerged.net.mark();
-      unmerged.net.set_link_state(link, up);
-      unmerged.net.run_to_convergence();
-      EXPECT_LE(merged.net.window().messages_sent,
-                unmerged.net.window().messages_sent);
-      expect_identical_paths(merged, unmerged);
+      run.net.set_link_state(link, up);
+      run.net.run_to_convergence();
+      run.analyzer.check_all();
+      expect_matches_solver(run, run.graph);
     }
   }
+  EXPECT_TRUE(run.analyzer.report().clean()) << [&] {
+    std::ostringstream os;
+    run.analyzer.report().print(os);
+    return os.str();
+  }();
 }
 
 TEST(Determinism, ByteCountsArePositiveAndProtocolSpecific) {

@@ -199,7 +199,7 @@ TEST(EnvStrict, FlagStrictRecognisedValuesOnly) {
     EXPECT_FALSE(util::env_flag_strict("CENTAUR_TEST_FLAG", true)) << f;
   }
   // Unrecognised text keeps the fallback instead of silently meaning "true"
-  // (the old behaviour turned CENTAUR_COALESCE=fasle into an ablation arm).
+  // (the old behaviour read a typo such as "fasle" as true).
   ASSERT_EQ(setenv("CENTAUR_TEST_FLAG", "fasle", 1), 0);
   EXPECT_TRUE(util::env_flag_strict("CENTAUR_TEST_FLAG", true));
   EXPECT_FALSE(util::env_flag_strict("CENTAUR_TEST_FLAG", false));

@@ -220,100 +220,5 @@ TEST(WireDecode, RejectsMalformedInput) {
   }
 }
 
-TEST(WireBatch, RoundtripAndExactByteAccounting) {
-  std::mt19937 rng(20260808);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<GraphDelta> deltas;
-    const std::size_t n = 1 + rng() % 5;
-    for (std::size_t i = 0; i < n; ++i) deltas.push_back(random_delta(rng));
-    std::vector<const GraphDelta*> ptrs;
-    for (const GraphDelta& d : deltas) ptrs.push_back(&d);
-
-    const std::vector<std::uint8_t> buf =
-        encode_batch(ptrs, PlistEncoding::kExplicit);
-    EXPECT_EQ(buf.size(), encoded_batch_size(ptrs, PlistEncoding::kExplicit));
-    // Byte delta vs n separate datagrams: each member trades its two header
-    // bytes for one flags byte; the batch adds its own header + count.
-    std::size_t separate = 0;
-    for (const GraphDelta& d : deltas) separate += d.byte_size(false);
-    EXPECT_EQ(buf.size(), separate - n + 2 + varint_size(n));
-
-    const std::vector<Decoded> out = decode_batch(buf);
-    ASSERT_EQ(out.size(), n);
-    std::size_t accounted = 2 + varint_size(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i].encoding, PlistEncoding::kExplicit);
-      expect_delta_eq(out[i].delta, deltas[i]);
-      // Per-member consumption: the member's flags byte + body.
-      EXPECT_EQ(out[i].bytes_consumed, deltas[i].byte_size(false) - 1);
-      accounted += out[i].bytes_consumed;
-    }
-    EXPECT_EQ(accounted, buf.size());
-  }
-}
-
-TEST(WireBatch, BloomFlagAndResetFlagsSurvive) {
-  GraphDelta plain, reset;
-  PermissionList plist;
-  plist.add(1, 2);
-  plain.upserts.emplace_back(DirectedLink{1, 2}, plist);
-  reset.reset = true;
-  const std::vector<std::uint8_t> buf =
-      encode_batch({&plain, &reset}, PlistEncoding::kBloom);
-  const std::vector<Decoded> out = decode_batch(buf);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].encoding, PlistEncoding::kBloom);
-  EXPECT_FALSE(out[0].delta.reset);
-  ASSERT_EQ(out[0].bloom_plists.size(), 1u);
-  EXPECT_TRUE(out[1].delta.reset);
-}
-
-TEST(WireBatch, FramingsRejectEachOther) {
-  const GraphDelta d;
-  const std::vector<std::uint8_t> single = encode(d, PlistEncoding::kExplicit);
-  EXPECT_THROW(decode_batch(single), DecodeError);
-  const std::vector<std::uint8_t> batch =
-      encode_batch({&d}, PlistEncoding::kExplicit);
-  ASSERT_EQ(batch[0], kBatchVersion);
-  EXPECT_THROW(decode(batch), DecodeError);
-}
-
-TEST(WireBatch, RejectsMalformedInput) {
-  GraphDelta a, b;
-  PermissionList plist;
-  plist.add(3, 4);
-  a.upserts.emplace_back(DirectedLink{1, 2}, plist);
-  b.reset = true;
-  b.dest_adds.push_back(7);
-  const std::vector<std::uint8_t> buf =
-      encode_batch({&a, &b}, PlistEncoding::kExplicit);
-
-  // Truncation anywhere must throw, never read past the end.
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    EXPECT_THROW(decode_batch(buf.data(), cut), DecodeError) << cut;
-  }
-  EXPECT_NO_THROW(decode_batch(buf));
-
-  std::vector<std::uint8_t> bad = buf;
-  bad.push_back(0);  // trailing byte after the last delta
-  EXPECT_THROW(decode_batch(bad), DecodeError);
-
-  bad = buf;
-  bad[1] = 0xF0;  // unknown batch flag bits
-  EXPECT_THROW(decode_batch(bad), DecodeError);
-
-  bad = buf;
-  bad[2] = 200;  // claims 200 deltas the buffer cannot hold
-  EXPECT_THROW(decode_batch(bad), DecodeError);
-
-  bad = buf;
-  bad[3] = 0xF0;  // unknown per-delta flag bits (reset is the only one)
-  EXPECT_THROW(decode_batch(bad), DecodeError);
-
-  // An empty batch is well-formed, if pointless.
-  const std::vector<std::uint8_t> empty = encode_batch({}, PlistEncoding::kExplicit);
-  EXPECT_EQ(decode_batch(empty).size(), 0u);
-}
-
 }  // namespace
 }  // namespace centaur::wire

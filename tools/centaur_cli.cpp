@@ -70,16 +70,6 @@ constexpr struct EnvVar {
      "emit BENCH_<name>.json reports; --json <path> overrides"},
     {"CENTAUR_CHECK", "off|collect|assert (off)",
      "attach the invariant analyzer to every run; --check = collect"},
-    {"CENTAUR_COALESCE", "0/off/false disables (on)",
-     "same-burst outbound coalescing of Centaur updates"},
-    {"CENTAUR_BATCH_DATAGRAMS", "1 enables (off)",
-     "coalesce same-neighbor updates within one instant into one batch "
-     "datagram; routing state identical, datagram counts change"},
-    {"CENTAUR_INCREMENTAL", "0/off/false disables (on)",
-     "incremental recompute plane (cached reselect, dirty-set derivation, "
-     "view deltas); off runs the bit-identical from-scratch reference"},
-    {"CENTAUR_BLOOM_PLISTS", "1 enables (off)",
-     "Bloom-compressed Permission List sizing"},
     {"CENTAUR_SERVE_THREADS", "integer >= 1 (4)",
      "serving-plane query lanes (serve / querybench); results are "
      "bit-identical for any value"},
